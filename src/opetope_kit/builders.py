@@ -99,18 +99,20 @@ def three_cell_from_tree(tree: RootedTree) -> FaceComplex:
     leaf_order: list[str] = []
     extents: dict[str, tuple[int, int]] = {}
 
-    def walk(node: str) -> tuple[int, int]:
-        lo = len(leaf_order)
-        for slot in sorted(tree.arity[node]):
+    # pre-order walk with an explicit stack: (node, first leaf, slots left)
+    todo = [(tree.root, 0, iter(sorted(tree.arity[tree.root])))]
+    while todo:
+        node, lo, slots = todo[-1]
+        for slot in slots:
             child = plugged.get((node, slot))
             if child is None:
                 leaf_order.append(slot)
             else:
-                walk(child)
-        extents[node] = (lo, len(leaf_order))
-        return extents[node]
-
-    walk(tree.root)
+                todo.append((child, len(leaf_order), iter(sorted(tree.arity[child]))))
+                break
+        else:
+            todo.pop()
+            extents[node] = (lo, len(leaf_order))
 
     taken = set(slot_names) | set(tree.nodes)
     n_points = len(leaf_order) + 1

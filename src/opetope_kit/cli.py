@@ -19,6 +19,7 @@ from .enumeration import (
     EnumerationBudget,
     enumerate_pops,
     enumerate_positive_opetopes,
+    resolve_work_limit,
 )
 from .errors import InternalInvariantBroken, OpetopeError, ParseError
 from .io_formats import (
@@ -161,15 +162,13 @@ def cmd_tree(args) -> int:
         sys.stdout.write(emit_dot_tree(complex_, args.face))
         return PASS
     tree = face_tree(complex_, args.face)
-
-    def render(node: str, depth: int, slot: str | None) -> None:
-        prefix = "  " * depth
+    todo: list[tuple[str, int, str | None]] = [(tree.root, 0, None)]
+    while todo:
+        node, depth, slot = todo.pop()
         label = f"[{slot}] " if slot is not None else ""
-        print(f"{prefix}{label}{node}")
-        for child_slot, child in tree.children(node):
-            render(child, depth + 1, child_slot)
-
-    render(tree.root, 0, None)
+        print(f"{'  ' * depth}{label}{node}")
+        todo.extend((child, depth + 1, child_slot)
+                    for child_slot, child in reversed(tree.children(node)))
     return PASS
 
 
@@ -208,9 +207,14 @@ def cmd_zigzag(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    budget = EnumerationBudget(args.max_dim, args.max_faces)
-    stream = (enumerate_positive_opetopes(budget) if args.opetopes_only
-              else enumerate_pops(budget))
+    try:
+        budget = EnumerationBudget(args.max_dim, args.max_faces)
+        work_limit = resolve_work_limit(None)
+    except ValueError as err:
+        print(f"enumerate: {err}", file=sys.stderr)
+        return PARSE_FAIL
+    stream = (enumerate_positive_opetopes(budget, work_limit) if args.opetopes_only
+              else enumerate_pops(budget, work_limit))
     if args.count_only:
         print(sum(1 for _ in stream))
         return PASS
@@ -359,7 +363,7 @@ def main(argv=None) -> int:
     except OpetopeError as err:
         print(str(err), file=sys.stderr)
         return FAIL
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(str(err), file=sys.stderr)
         return PARSE_FAIL
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (
+    MINUS,
     AxiomReport,
     FaceComplex,
     Violation,
@@ -156,9 +157,8 @@ def check_acyclicity(complex_: FaceComplex) -> AxiomReport:
             continue
         edges = {y: [] for y in sources}
         for y2 in sources:
-            t = complex_.gamma(y2)
-            for y in sources:
-                if t in complex_.delta(y):
+            for y, sign in complex_.cofaces(complex_.gamma(y2)):
+                if sign == MINUS and y in sources:
                     edges[y2].append(y)
         cycle = _directed_cycle(edges)
         if cycle:
@@ -169,29 +169,28 @@ def check_acyclicity(complex_: FaceComplex) -> AxiomReport:
 
 
 def _directed_cycle(edges: dict[str, list[str]]) -> list[str]:
-    """A directed cycle in a small graph, or [] when acyclic."""
+    """A directed cycle in a small graph, or [] when acyclic; depth-first
+    with an explicit stack, visiting nodes and successors in sorted order."""
     state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(u: str) -> list[str]:
-        state[u] = 1
-        stack.append(u)
-        for v in sorted(edges[u]):
-            if state.get(v, 0) == 1:
-                return stack[stack.index(v):]
-            if state.get(v, 0) == 0:
-                found = visit(v)
-                if found:
-                    return found
-        stack.pop()
-        state[u] = 2
-        return []
-
-    for u in sorted(edges):
-        if state.get(u, 0) == 0:
-            found = visit(u)
-            if found:
-                return found
+    path: list[str] = []
+    for start in sorted(edges):
+        if state.get(start, 0):
+            continue
+        state[start] = 1
+        path.append(start)
+        todo = [iter(sorted(edges[start]))]
+        while todo:
+            for v in todo[-1]:
+                if state.get(v, 0) == 1:
+                    return path[path.index(v):]
+                if state.get(v, 0) == 0:
+                    state[v] = 1
+                    path.append(v)
+                    todo.append(iter(sorted(edges[v])))
+                    break
+            else:
+                todo.pop()
+                state[path.pop()] = 2
     return []
 
 

@@ -5,7 +5,8 @@ are interchangeable, so assignments are drawn as sorted multisets; the
 remaining overcounting (relabellings of lower strata) is removed by
 canonical-form deduplication.  Every stream is therefore exhaustive, free
 of isomorphic repeats, and emitted in a deterministic order with
-canonical face names.
+canonical face names.  The opetope search prunes a partial stage with the
+checker's own :func:`zpo.settled_violations` for the newest stratum.
 
 A second, deliberately naive generator walks the full labelled assignment
 space and keeps whatever survives the base validator.  It exists so that
@@ -22,8 +23,7 @@ from typing import Iterator, Mapping, Optional
 from .core import FaceComplex, validate_complex_data
 from .errors import BudgetTooLarge
 from .iso import canonical_face_name, canonical_form, complex_from_certificate
-from .relations import closed_minus, closed_plus
-from .zpo import is_positive_opetope
+from .zpo import is_positive_opetope, settled_violations
 
 WORK_LIMIT_ENV = "OPETOPE_KIT_WORK_LIMIT"
 DEFAULT_WORK_LIMIT = 2_000_000
@@ -61,9 +61,12 @@ def resolve_work_limit(work_limit: Optional[int]) -> int:
     if work_limit is not None:
         return work_limit
     env = os.environ.get(WORK_LIMIT_ENV)
-    if env:
+    if not env:
+        return DEFAULT_WORK_LIMIT
+    try:
         return int(env)
-    return DEFAULT_WORK_LIMIT
+    except ValueError:
+        raise ValueError(f"{WORK_LIMIT_ENV} must be an integer, got {env!r}") from None
 
 
 class _WorkMeter:
@@ -146,57 +149,6 @@ def _assemble(names, profile, chosen) -> FaceComplex:
     return FaceComplex(faces, target, sources)
 
 
-def _partial_opetope_ok(partial: FaceComplex, top: int) -> bool:
-    """Necessary conditions once stratum ``top`` >= 1 is in place.
-
-    Everything tested here concerns level top-1 (or the new faces), whose
-    derived relations no later stratum can change, so pruning on them
-    never loses a positive opetope.
-    """
-    level = top - 1
-    used: set[str] = set()
-    for w in partial.stratum(top):
-        used |= partial.delta(w)
-    if len(set(partial.stratum(level)) - used) != 1:
-        return False
-    plus = closed_plus(partial, level)
-    if not plus.is_irreflexive():
-        return False
-    names = partial.stratum(level)
-    if level == 0:
-        for i, x in enumerate(names):
-            for y in names[i + 1:]:
-                if not plus.comparable(x, y):
-                    return False
-    else:
-        minus = closed_minus(partial, level)
-        for i, x in enumerate(names):
-            for y in names[i + 1:]:
-                if plus.comparable(x, y) and minus.comparable(x, y):
-                    return False
-        for y in partial.stratum(level - 1):
-            for pencil in (
-                [x for x in names if partial.gamma(x) == y],
-                [x for x in names if y in partial.delta(x)],
-            ):
-                for i, x in enumerate(pencil):
-                    for x2 in pencil[i + 1:]:
-                        if not plus.comparable(x, x2):
-                            return False
-    if top >= 2:
-        for x in partial.stratum(top):
-            dd: set[str] = set()
-            gd: set[str] = set()
-            for b in partial.delta(x):
-                dd |= partial.delta(b)
-                gd.add(partial.gamma(b))
-            if {partial.gamma(partial.gamma(x))} != gd - dd:
-                return False
-            if set(partial.delta(partial.gamma(x))) != dd - gd:
-                return False
-    return True
-
-
 def _candidates(budget: EnumerationBudget, meter: _WorkMeter,
                 opetopes_only: bool) -> Iterator[FaceComplex]:
     for profile in _profiles(budget):
@@ -217,7 +169,7 @@ def _candidates(budget: EnumerationBudget, meter: _WorkMeter,
                 if opetopes_only:
                     meter.tick()
                     partial = _assemble(names[:k + 1], profile[:k + 1], stage)
-                    if not _partial_opetope_ok(partial, k):
+                    if next(settled_violations(partial, k), None) is not None:
                         continue
                 yield from fill(k + 1, stage)
 

@@ -119,7 +119,9 @@ class JsonShapeError(ParseError):
         super().__init__(f"at {path}: {detail}")
 
 
-class NonAsciiName(ParseError):
+class NonAsciiName(OpetopeError):
+    """A valid face name that the ASCII line format cannot write."""
+
     def __init__(self, name):
         self.name = name
         super().__init__(

@@ -80,9 +80,8 @@ def step_minus(complex_: FaceComplex, k: int) -> StepRelation:
     pairs: set[tuple[str, str]] = set()
     if k > 0:
         for x in complex_.stratum(k):
-            t = complex_.gamma(x)
-            for x2 in complex_.stratum(k):
-                if t in complex_.delta(x2):
+            for x2, sign in complex_.cofaces(complex_.gamma(x)):
+                if sign == MINUS:
                     pairs.add((x, x2))
     return StepRelation(k, MINUS, frozenset(pairs))
 
@@ -139,17 +138,24 @@ def lambda_set(complex_: FaceComplex, k: int) -> frozenset[str]:
     return frozenset(complex_.stratum(k)) - hit
 
 
-def iota(complex_: FaceComplex, x: str) -> frozenset[str]:
-    """Faces two dimensions below ``x`` that are both a source of a source
-    and the target of a source."""
-    if complex_.dim(x) < 2:
-        raise DimensionTooLow(f"face {x} has dim {complex_.dim(x)} < 2")
+def boundary_sets(complex_: FaceComplex, x: str) -> tuple[frozenset[str], frozenset[str]]:
+    """The sources of the sources of ``x`` and the targets of its sources,
+    for a face of dim >= 2."""
     dd: set[str] = set()
     gd: set[str] = set()
     for b in complex_.delta(x):
         dd |= complex_.delta(b)
         gd.add(complex_.gamma(b))
-    return frozenset(dd & gd)
+    return frozenset(dd), frozenset(gd)
+
+
+def iota(complex_: FaceComplex, x: str) -> frozenset[str]:
+    """Faces two dimensions below ``x`` that are both a source of a source
+    and the target of a source."""
+    if complex_.dim(x) < 2:
+        raise DimensionTooLow(f"face {x} has dim {complex_.dim(x)} < 2")
+    dd, gd = boundary_sets(complex_, x)
+    return dd & gd
 
 
 def _check_known(complex_: FaceComplex, seq) -> None:

@@ -6,47 +6,53 @@ globularity, strictness, disjointness and pencil linearity; it is a
 that is not a source of the stratum above (principality).  Each check
 returns a report with every violating face, in lexicographic order, so a
 failing complex can be repaired or used as a counterexample.
+
+Each axiom is checked level by level, by one generator per axiom.  The
+enumerator's pruner and the whole-complex checks both run them, through
+:func:`settled_violations`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import combinations
+from typing import Iterable, Iterator
 
-from .core import AxiomReport, FaceComplex, Violation, _sorted_violations
-from .relations import closed_minus, closed_plus, closure, step_plus
+from .core import MINUS, PLUS, AxiomReport, FaceComplex, Violation
+from .relations import ClosedRelation, boundary_sets, closed_minus, closed_plus, step_plus
+
+_AXIOMS = ("globularity", "strictness", "disjointness", "pencil-linearity",
+           "principality")
 
 
 def _fmt(names) -> str:
     return "{" + ", ".join(sorted(names)) + "}"
 
 
-def check_globularity(complex_: FaceComplex) -> AxiomReport:
-    """Faces of dim >= 2 must have boundaries that close up: the target of
-    the target is the one source-target that is not a source of a source,
-    and the sources of the target are the sources of sources that are not
-    source-targets."""
-    bad: list[Violation] = []
-    for x in complex_.faces():
-        if complex_.dim(x) < 2:
-            continue
-        dd: set[str] = set()
-        gd: set[str] = set()
-        for b in complex_.delta(x):
-            dd |= complex_.delta(b)
-            gd.add(complex_.gamma(b))
+def _report(violations: Iterable[Violation], axioms: tuple[str, ...]) -> AxiomReport:
+    """One block per axiom, in the order of ``axioms``, each block sorted."""
+    rank = {axiom: i for i, axiom in enumerate(axioms)}
+    return AxiomReport(tuple(sorted((v for v in violations if v.axiom in rank),
+                                    key=lambda v: (rank[v.axiom], v.witnesses, v.detail))))
+
+
+def _globularity(complex_: FaceComplex, k: int) -> Iterator[Violation]:
+    if k < 2:
+        return
+    for x in complex_.stratum(k):
+        dd, gd = boundary_sets(complex_, x)
         gg = {complex_.gamma(complex_.gamma(x))}
-        dg = set(complex_.delta(complex_.gamma(x)))
+        dg = complex_.delta(complex_.gamma(x))
         if gg != gd - dd:
-            bad.append(Violation(
+            yield Violation(
                 "globularity", (x,),
                 f"target-of-target of {x} is {_fmt(gg)} but source-targets minus "
-                f"source-sources is {_fmt(gd - dd)}"))
+                f"source-sources is {_fmt(gd - dd)}")
         if dg != dd - gd:
-            bad.append(Violation(
+            yield Violation(
                 "globularity", (x,),
                 f"sources-of-target of {x} are {_fmt(dg)} but source-sources minus "
-                f"source-targets is {_fmt(dd - gd)}"))
-    return AxiomReport(_sorted_violations(bad))
+                f"source-targets is {_fmt(dd - gd)}")
 
 
 def _find_cycle(pairs: frozenset[tuple[str, str]], start: str) -> tuple[str, ...]:
@@ -74,96 +80,124 @@ def _find_cycle(pairs: frozenset[tuple[str, str]], start: str) -> tuple[str, ...
     return (start,)
 
 
+def _strictness(complex_: FaceComplex, k: int, plus: ClosedRelation) -> Iterator[Violation]:
+    loops = sorted(x for x, y in plus.pairs if x == y)
+    if loops:
+        cycle = _find_cycle(step_plus(complex_, k).pairs, loops[0])
+        yield Violation(
+            "strictness", cycle,
+            f"plus-cycle in dimension {k}: {' -> '.join(cycle + (cycle[0],))}")
+    if k == 0:
+        for x, y in combinations(complex_.stratum(0), 2):
+            if not plus.comparable(x, y):
+                yield Violation(
+                    "strictness", (x, y),
+                    f"dimension-0 faces {x} and {y} are not plus-comparable")
+
+
+def _disjointness(complex_: FaceComplex, k: int, plus: ClosedRelation) -> Iterator[Violation]:
+    if k < 1:
+        return
+    minus = closed_minus(complex_, k)
+    for x, y in combinations(complex_.stratum(k), 2):
+        if plus.comparable(x, y) and minus.comparable(x, y):
+            yield Violation(
+                "disjointness", (x, y),
+                f"faces {x} and {y} are comparable in both orders")
+
+
+def _pencil_linearity(complex_: FaceComplex, k: int,
+                      plus: ClosedRelation) -> Iterator[Violation]:
+    for y in complex_.stratum(k - 1):
+        cofaces = complex_.cofaces(y)
+        for label, sign in (("target", PLUS), ("source", MINUS)):
+            pencil = [x for x, s in cofaces if s == sign]
+            for x, x2 in combinations(pencil, 2):
+                if not plus.comparable(x, x2):
+                    yield Violation(
+                        "pencil-linearity", (y, x, x2),
+                        f"{label} pencil over {y}: {x} and {x2} are "
+                        f"not plus-comparable")
+
+
+def _principality(complex_: FaceComplex, k: int) -> Iterator[Violation]:
+    used: set[str] = set()
+    for w in complex_.stratum(k + 1):
+        used |= complex_.delta(w)
+    left = [y for y in complex_.stratum(k) if y not in used]
+    if len(left) != 1:
+        yield Violation(
+            "principality", tuple(left),
+            f"stratum {k} has {len(left)} non-source faces {_fmt(left)}, expected 1")
+
+
+def settled_violations(complex_: FaceComplex, k: int) -> Iterator[Violation]:
+    """The violations that stratum ``k`` >= 1 fixes for good.
+
+    These are principality, strictness, disjointness and pencil linearity
+    at level ``k - 1`` and globularity of the ``k``-faces.  None of them
+    reads a stratum above ``k``, so they are the same on the truncation to
+    strata ``0..k`` as on any complex stacked on it, and the enumerator
+    prunes on them.  The cheapest axiom comes first, for that pruner.
+    """
+    level = k - 1
+    yield from _principality(complex_, level)
+    plus = closed_plus(complex_, level)
+    yield from _strictness(complex_, level, plus)
+    yield from _disjointness(complex_, level, plus)
+    yield from _pencil_linearity(complex_, level, plus)
+    yield from _globularity(complex_, k)
+
+
+def _at_each_level(complex_: FaceComplex, axiom) -> Iterator[Violation]:
+    for k in range(complex_.dimension + 1):
+        yield from axiom(complex_, k, closed_plus(complex_, k))
+
+
+def check_globularity(complex_: FaceComplex) -> AxiomReport:
+    """Faces of dim >= 2 must have boundaries that close up: the target of
+    the target is the one source-target that is not a source of a source,
+    and the sources of the target are the sources of sources that are not
+    source-targets."""
+    return _report((v for k in range(2, complex_.dimension + 1)
+                    for v in _globularity(complex_, k)), ("globularity",))
+
+
 def check_strictness(complex_: FaceComplex) -> AxiomReport:
     """No stratum may carry a plus-cycle, and any two distinct faces of
     dimension 0 must be plus-comparable."""
-    bad: list[Violation] = []
-    for k in range(complex_.dimension + 1):
-        step = step_plus(complex_, k)
-        closed = closure(step)
-        loops = sorted(x for x, y in closed.pairs if x == y)
-        if loops:
-            cycle = _find_cycle(step.pairs, loops[0])
-            bad.append(Violation(
-                "strictness", cycle,
-                f"plus-cycle in dimension {k}: {' -> '.join(cycle + (cycle[0],))}"))
-        if k == 0:
-            names = complex_.stratum(0)
-            for i, x in enumerate(names):
-                for y in names[i + 1:]:
-                    if not closed.comparable(x, y):
-                        bad.append(Violation(
-                            "strictness", (x, y),
-                            f"dimension-0 faces {x} and {y} are not plus-comparable"))
-    return AxiomReport(_sorted_violations(bad))
+    return _report(_at_each_level(complex_, _strictness), ("strictness",))
 
 
 def check_disjointness(complex_: FaceComplex) -> AxiomReport:
     """Above dimension 0 no pair of faces may be comparable in both the
     plus and the minus order."""
-    bad: list[Violation] = []
-    for k in range(1, complex_.dimension + 1):
-        plus = closed_plus(complex_, k)
-        minus = closed_minus(complex_, k)
-        names = complex_.stratum(k)
-        for i, x in enumerate(names):
-            for y in names[i + 1:]:
-                if plus.comparable(x, y) and minus.comparable(x, y):
-                    bad.append(Violation(
-                        "disjointness", (x, y),
-                        f"faces {x} and {y} are comparable in both orders"))
-    return AxiomReport(_sorted_violations(bad))
+    return _report(_at_each_level(complex_, _disjointness), ("disjointness",))
 
 
 def check_pencil_linearity(complex_: FaceComplex) -> AxiomReport:
     """For every face y, the faces one dimension up having y as target,
     and those having y as a source, must each be totally plus-ordered."""
-    bad: list[Violation] = []
-    for k in range(1, complex_.dimension + 1):
-        plus = closed_plus(complex_, k)
-        for y in complex_.stratum(k - 1):
-            target_pencil = [x for x in complex_.stratum(k) if complex_.gamma(x) == y]
-            source_pencil = [x for x in complex_.stratum(k) if y in complex_.delta(x)]
-            for label, pencil in (("target", target_pencil), ("source", source_pencil)):
-                for i, x in enumerate(pencil):
-                    for x2 in pencil[i + 1:]:
-                        if not plus.comparable(x, x2):
-                            bad.append(Violation(
-                                "pencil-linearity", (y, x, x2),
-                                f"{label} pencil over {y}: {x} and {x2} are "
-                                f"not plus-comparable"))
-    return AxiomReport(_sorted_violations(bad))
+    return _report(_at_each_level(complex_, _pencil_linearity), ("pencil-linearity",))
 
 
 def check_principality(complex_: FaceComplex) -> AxiomReport:
     """Each stratum must contain exactly one face that is a source of no
     face above (for the top stratum, that leaves the whole stratum)."""
-    bad: list[Violation] = []
-    for k in range(complex_.dimension + 1):
-        used: set[str] = set()
-        for w in complex_.stratum(k + 1):
-            used |= complex_.delta(w)
-        left = sorted(set(complex_.stratum(k)) - used)
-        if len(left) != 1:
-            bad.append(Violation(
-                "principality", tuple(left),
-                f"stratum {k} has {len(left)} non-source faces {_fmt(left)}, expected 1"))
-    return AxiomReport(_sorted_violations(bad))
+    return _report((v for k in range(complex_.dimension + 1)
+                    for v in _principality(complex_, k)), ("principality",))
+
+
+def _all_levels(complex_: FaceComplex) -> Iterator[Violation]:
+    for k in range(1, complex_.dimension + 2):
+        yield from settled_violations(complex_, k)
 
 
 def is_opetopic_cardinal(complex_: FaceComplex) -> AxiomReport:
     """Globularity, strictness, disjointness and pencil linearity."""
-    return AxiomReport.merge(
-        check_globularity(complex_),
-        check_strictness(complex_),
-        check_disjointness(complex_),
-        check_pencil_linearity(complex_),
-    )
+    return _report(_all_levels(complex_), _AXIOMS[:-1])
 
 
 def is_positive_opetope(complex_: FaceComplex) -> AxiomReport:
     """An opetopic cardinal that is also principal."""
-    return AxiomReport.merge(
-        is_opetopic_cardinal(complex_),
-        check_principality(complex_),
-    )
+    return _report(_all_levels(complex_), _AXIOMS)

@@ -7,6 +7,8 @@ from opetope_kit import (
     corpus_fixtures,
     enumerate_pops,
     fork_tree,
+    is_dfc,
+    is_positive_opetope,
     nested_tree,
     point,
     three_cell_from_tree,
@@ -58,3 +60,14 @@ def corpus():
 def small_pops():
     """Every complex class with dim <= 2 and <= 6 faces; quick to build."""
     return list(enumerate_pops(EnumerationBudget(2, 6)))
+
+
+@pytest.fixture(scope="session")
+def enumerated():
+    """Every class with dim <= 3 and <= 8 faces, with both verdicts."""
+    instances = []
+    for complex_ in enumerate_pops(EnumerationBudget(3, 8)):
+        instances.append(
+            (complex_, is_dfc(complex_), is_positive_opetope(complex_)))
+    assert len(instances) > 1000
+    return instances

@@ -28,7 +28,6 @@ from opetope_kit import (
     from_hypergraph_view,
     greatest_element,
     identity_morphism,
-    is_dfc,
     is_positive_opetope,
     lambda_set,
     linear_order_s0,
@@ -50,22 +49,11 @@ from opetope_kit.relations import closed_plus
 
 from helpers import all_chains, exhaustive_simple_zigzags, predecessor_sort
 
-BUDGET = EnumerationBudget(max_dim=3, max_faces_total=8)
 CORPUS_DIR = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
 
 def report(criterion, name, detail):
     print(f"[criterion {criterion}] {name}: PASS ({detail})")
-
-
-@pytest.fixture(scope="module")
-def enumerated():
-    instances = []
-    for complex_ in enumerate_pops(BUDGET):
-        instances.append(
-            (complex_, is_dfc(complex_), is_positive_opetope(complex_)))
-    assert len(instances) > 1000
-    return instances
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,20 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from opetope_kit import emit_dsl, emit_json, three_one, two_cell
+from opetope_kit import (
+    FaceComplex,
+    RootedTree,
+    emit_dsl,
+    emit_json,
+    three_cell_from_tree,
+    three_one,
+    two_cell,
+)
 from opetope_kit.cli import main
 
 
@@ -258,3 +270,67 @@ def test_stdin_requires_format(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "stdin", io.StringIO("face x : 0\n"))
     assert main(["validate", "-"]) == 2
     capsys.readouterr()
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_validate_dfc_on_a_wide_two_cell(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(emit_json(two_cell(1500)))
+    assert main(["validate", str(path), "--mode", "dfc", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["checks"]["dfc"] == {"verdict": "pass", "violations": []}
+
+
+def test_tree_walks_do_not_recurse(tmp_path, capsys):
+    """A chain tree deeper than the stack allows still builds and renders."""
+    depth = 300
+    chain = RootedTree(
+        nodes=frozenset(f"n{i}" for i in range(depth)),
+        arity={f"n{i}": frozenset({f"a{i}", f"b{i}"}) for i in range(depth)},
+        triplets=frozenset((f"n{i}", f"b{i}", f"n{i + 1}")
+                           for i in range(depth - 1)),
+        root="n0")
+    path = tmp_path / "chain.dsl"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        path.write_text(emit_dsl(three_cell_from_tree(chain)))
+        assert main(["tree", str(path), "--face", "A"]) == 0
+    finally:
+        sys.setrecursionlimit(limit)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["n0"] + [f"{'  ' * i}[b{i - 1}] n{i}" for i in range(1, depth)]
+
+
+@pytest.mark.parametrize("argv, env, content, code", [
+    (["validate", "{file}"], {}, b"face x : 0\n\xff\n", 2),
+    (["enumerate", "--max-dim", "-1", "--max-faces", "3"], {}, None, 2),
+    (["enumerate", "--max-dim", "1", "--max-faces", "0"], {}, None, 2),
+    (["enumerate", "--max-dim", "1", "--max-faces", "3", "--count-only"],
+     {"OPETOPE_KIT_WORK_LIMIT": "abc"}, None, 2),
+    (["convert", "{file}", "--to", "dsl"], {},
+     emit_json(FaceComplex({"café": 0}, {}, {})).encode("utf-8"), 1),
+], ids=["non-utf8-input", "negative-max-dim", "zero-max-faces",
+        "bad-work-limit", "non-ascii-name-to-dsl"])
+def test_exit_code_contract(tmp_path, argv, env, content, code):
+    """Bad input exits with its contract code and a one-line message."""
+    file = tmp_path / ("input.dsl" if argv[0] == "validate" else "input.json")
+    if content is not None:
+        file.write_bytes(content)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    full_env = dict(os.environ, **env)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "opetope_kit.cli"]
+        + [arg.replace("{file}", str(file)) for arg in argv],
+        env=full_env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.strip().splitlines()) == 1

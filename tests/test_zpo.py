@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 from opetope_kit import (
     FaceComplex,
     build_complex,
@@ -155,3 +158,53 @@ def test_iota_decompositions_on_enumerated_cardinals(small_pops):
             assert dd == dg | mid and not dg & mid
             seen += 1
     assert seen > 0
+
+
+# Digest of every zpo report on the (2, 6) classes and on every valid
+# single edit of the corpus fixtures, as computed before the axioms were
+# split into per-level generators.  Any change to a verdict, a witness, a
+# detail string or the order of violations changes it.
+ZPO_REPORTS_SHA256 = "d1fbf2f2d629470420a503847d5426c52db24cb3ae0006c311c69d2a266bb0fd"
+
+
+def test_zpo_reports_are_pinned(small_pops):
+    from opetope_kit import corpus_fixtures
+
+    checks = (is_positive_opetope, is_opetopic_cardinal, check_globularity,
+              check_strictness, check_disjointness, check_pencil_linearity,
+              check_principality)
+    complexes = list(small_pops)
+    for fixture in corpus_fixtures().values():
+        for _, dims, target, sources in single_edit_mutations(fixture):
+            built = build_complex(dims, target, sources)
+            if isinstance(built, FaceComplex):
+                complexes.append(built)
+    digest = hashlib.sha256()
+    for complex_ in complexes:
+        for check in checks:
+            report = json.dumps(check(complex_).to_dict(), sort_keys=True)
+            digest.update(report.encode("utf-8") + b"\n")
+    assert len(complexes) == 334
+    assert digest.hexdigest() == ZPO_REPORTS_SHA256
+
+
+def _truncate(complex_, k):
+    dims, target, sources = complex_.to_data()
+    kept = {x for x, d in dims.items() if d <= k}
+    return FaceComplex({x: dims[x] for x in kept},
+                       {x: t for x, t in target.items() if x in kept},
+                       {x: s for x, s in sources.items() if x in kept})
+
+
+def test_settled_violations_ignore_higher_strata(enumerated):
+    """What stratum k settles must not depend on anything stacked above
+    it, or the enumerator would prune complexes the checker accepts."""
+    from opetope_kit.zpo import settled_violations
+
+    levels = 0
+    for complex_, _, _ in enumerated:
+        for k in range(1, complex_.dimension + 1):
+            assert list(settled_violations(_truncate(complex_, k), k)) == \
+                list(settled_violations(complex_, k))
+            levels += 1
+    assert levels > 2000
