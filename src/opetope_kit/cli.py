@@ -124,14 +124,19 @@ def cmd_validate(args) -> int:
     return PASS if dfc_report.passed else FAIL
 
 
-def _require_complex(args) -> FaceComplex:
-    doc = _load_document(args.file, args.format)
+def _built(doc, label: str = "base") -> FaceComplex:
+    """The complex a parsed document builds; on a base-axiom failure the
+    report goes to stderr under ``label`` and the command exits 1."""
     built = doc.build()
     if isinstance(built, AxiomReport):
-        for line in _render_report("base", built):
+        for line in _render_report(label, built):
             print(line, file=sys.stderr)
         raise SystemExit(FAIL)
     return built
+
+
+def _require_complex(args) -> FaceComplex:
+    return _built(_load_document(args.file, args.format))
 
 
 def _require_dfc(args) -> FaceComplex:
@@ -242,13 +247,8 @@ def cmd_export_dot(args) -> int:
 def cmd_morphism(args) -> int:
     source_doc = _load_document(args.from_, args.format)
     target_doc = _load_document(args.to, args.format)
-    built_source = source_doc.build()
-    built_target = target_doc.build()
-    for name, built in (("source", built_source), ("target", built_target)):
-        if isinstance(built, AxiomReport):
-            for line in _render_report(f"base ({name})", built):
-                print(line, file=sys.stderr)
-            return FAIL
+    source = _built(source_doc, "base (source)")
+    target = _built(target_doc, "base (target)")
     mapping = {}
     for lineno, raw in enumerate(_read(args.map).splitlines(), start=1):
         stripped = raw.strip()
@@ -259,19 +259,12 @@ def cmd_morphism(args) -> int:
             return PARSE_FAIL
         left, _, right = stripped.partition("=>")
         mapping[left.strip()] = right.strip()
-    morphism = Morphism(built_source, built_target, mapping)
     try:
-        report = validate_morphism(morphism)
+        report = validate_morphism(Morphism(source, target, mapping))
     except OpetopeError as err:
         print(str(err), file=sys.stderr)
         return PARSE_FAIL
-    if getattr(args, "json", False):
-        print(json.dumps({"mode": "morphism", "verdict": report.verdict,
-                          "checks": {"morphism": report.to_dict()},
-                          "agreement": None}, sort_keys=True, indent=2))
-    else:
-        for line in _render_report("morphism", report):
-            print(line)
+    _emit_report(args, "morphism", {"morphism": report}, None)
     return PASS if report.passed else FAIL
 
 
@@ -289,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run axiom checks")
     add_input(p)
     p.add_argument("--mode", default="both",
-                   choices=("pop", "phg", "cardinal", "opetope", "dfc", "both"))
+                   choices=("pop", "phg", "cardinal", "opetope", "dfc", "both"),
+                   help="the checks to run; 'phg' is an alias of 'pop', "
+                        "the base axioms only")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(func=cmd_validate)
 

@@ -15,6 +15,7 @@ from typing import Mapping
 
 from .core import (
     MINUS,
+    PLUS,
     AxiomReport,
     FaceComplex,
     Violation,
@@ -92,10 +93,12 @@ class Lozenge:
 def complete_half_lozenge(complex_: FaceComplex, bottom: str, left: str, top: str) -> Lozenge:
     """Find the unique second face between ``bottom`` and ``top``.
 
-    Raises ``NoCompletion`` / ``AmbiguousCompletion`` when zero or several
-    candidates exist and ``SignRuleViolation`` when the single candidate
-    breaks the sign rule; each exception is a ready-made witness for the
-    oriented-thinness check.
+    Only the cofaces of ``bottom`` are looked at: the candidates are those
+    other than ``left`` that ``top`` covers.  Raises ``NoCompletion`` /
+    ``AmbiguousCompletion`` when zero or several candidates exist and
+    ``SignRuleViolation`` when the single candidate breaks the sign rule;
+    each exception is a ready-made witness for the oriented-thinness
+    check.
     """
     beta = complex_.cover_sign(bottom, left)
     alpha = complex_.cover_sign(left, top)
@@ -103,11 +106,11 @@ def complete_half_lozenge(complex_: FaceComplex, bottom: str, left: str, top: st
         raise PreconditionViolation(
             f"{bottom} < {left} < {top} is not a two-step chain")
     candidates = []
-    for y, alpha2 in complex_.covers(top):
+    for y, beta2 in complex_.cofaces(bottom):
         if y == left:
             continue
-        beta2 = complex_.cover_sign(bottom, y)
-        if beta2 is not None:
+        alpha2 = complex_.cover_sign(y, top)
+        if alpha2 is not None:
             candidates.append((y, alpha2, beta2))
     if not candidates:
         raise NoCompletion(bottom, left, top)
@@ -138,23 +141,13 @@ def check_oriented_thinness(complex_: FaceComplex) -> AxiomReport:
 
 
 def check_acyclicity(complex_: FaceComplex) -> AxiomReport:
-    """Dimension-1 faces have a single source, all faces of dim >= 1 have
-    at least one, and within the sources of any face the relation
-    'target of one is a source of the other' has no directed cycle."""
+    """Within the sources of any face the relation 'target of one is a
+    source of the other' has no directed cycle."""
     bad: list[Violation] = []
     for x in complex_.faces():
-        if complex_.dim(x) == 0:
-            continue
-        sources = complex_.delta(x)
-        if not sources:
-            bad.append(Violation("acyclicity", (x,), f"face {x} has no sources"))
-            continue
-        if complex_.dim(x) == 1 and len(sources) > 1:
-            bad.append(Violation(
-                "acyclicity", (x,),
-                f"dimension-1 face {x} has several sources"))
         if complex_.dim(x) < 2:
             continue
+        sources = complex_.delta(x)
         edges = {y: [] for y in sources}
         for y2 in sources:
             for y, sign in complex_.cofaces(complex_.gamma(y2)):
@@ -317,6 +310,11 @@ def validate_rooted_tree(tree: RootedTree) -> AxiomReport:
     return AxiomReport(_sorted_violations(bad))
 
 
+def _plus_cofaces(complex_: FaceComplex, z: str, among: frozenset[str]) -> list[str]:
+    """The faces in ``among`` whose target is ``z``, sorted."""
+    return [y for y, sign in complex_.cofaces(z) if sign == PLUS and y in among]
+
+
 def face_tree(complex_: FaceComplex, x: str) -> RootedTree:
     """The rooted tree carried by the sources of ``x``.
 
@@ -334,17 +332,13 @@ def face_tree(complex_: FaceComplex, x: str) -> RootedTree:
         y: (complex_.delta(y) if complex_.dim(y) >= 1 else frozenset())
         for y in nodes
     }
-    triplets: set[tuple[str, str, str]] = set()
-    for y in nodes:
-        for z in arity[y]:
-            for y2 in nodes:
-                if complex_.dim(y2) >= 1 and complex_.gamma(y2) == z:
-                    triplets.add((y, z, y2))
+    triplets = {(y, z, y2) for y in nodes for z in arity[y]
+                for y2 in _plus_cofaces(complex_, z, nodes)}
     if complex_.dim(x) == 1:
         (root,) = nodes
     else:
         anchor = complex_.gamma(complex_.gamma(x))
-        roots = sorted(y for y in nodes if complex_.gamma(y) == anchor)
+        roots = _plus_cofaces(complex_, anchor, nodes)
         if len(roots) != 1:
             raise InternalInvariantBroken(
                 f"{len(roots)} root candidates among sources of {x}")

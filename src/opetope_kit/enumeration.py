@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .core import FaceComplex, validate_complex_data
 from .errors import BudgetTooLarge
@@ -31,30 +31,16 @@ DEFAULT_WORK_LIMIT = 2_000_000
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Bounds for an enumeration run.
-
-    ``per_dim`` optionally caps individual strata on top of the global
-    face budget.
-    """
+    """Bounds for an enumeration run."""
 
     max_dim: int
     max_faces_total: int
-    per_dim: Optional[Mapping[int, int]] = None
 
     def __post_init__(self):
         if self.max_dim < 0:
             raise ValueError("max_dim must be >= 0")
         if self.max_faces_total < 1:
             raise ValueError("max_faces_total must be >= 1")
-        if self.per_dim is not None:
-            for k, cap in self.per_dim.items():
-                if k < 0 or cap < 0:
-                    raise ValueError("per-dimension caps must be >= 0")
-
-    def cap(self, k: int) -> int:
-        if self.per_dim is None:
-            return self.max_faces_total
-        return min(self.max_faces_total, self.per_dim.get(k, self.max_faces_total))
 
 
 def resolve_work_limit(work_limit: Optional[int]) -> int:
@@ -92,10 +78,10 @@ def _profiles(budget: EnumerationBudget) -> list[tuple[int, ...]]:
         room = budget.max_faces_total - sum(prefix)
         if k > budget.max_dim or room < 1:
             return
-        for n in range(1, min(budget.cap(k), room) + 1):
+        for n in range(1, room + 1):
             grow(prefix + [n])
 
-    for n0 in range(1, min(budget.cap(0), budget.max_faces_total) + 1):
+    for n0 in range(1, budget.max_faces_total + 1):
         grow([n0])
     return sorted(found)
 

@@ -41,8 +41,6 @@ class ComplexDocument:
     faces: list[tuple[str, int]] = field(default_factory=list)
     target: dict[str, str] = field(default_factory=dict)
     sources: dict[str, list[str]] = field(default_factory=dict)
-    name: str | None = None
-    description: str | None = None
 
     def build(self):
         """Run the base validation; a complex or the failure report."""
@@ -184,6 +182,8 @@ def parse_json(text: str) -> ComplexDocument:
     Every complaint carries a JSON path such as ``target.f`` or
     ``sources.f[2]``.  Shape checking includes completeness: every face of
     dimension >= 1 must have a target entry and a nonempty source list.
+    The optional keys ``name`` and ``description`` must hold strings and
+    are otherwise ignored: they do not reach the document.
     """
     try:
         data = json.loads(text)
@@ -249,18 +249,13 @@ def parse_json(text: str) -> ComplexDocument:
             if name not in parsed_sources:
                 raise _shape_error(f"sources.{name}", "missing")
 
-    meta = {}
     for key in ("name", "description"):
-        if key in data:
-            if not isinstance(data[key], str):
-                raise _shape_error(key, "must be a string")
-            meta[key] = data[key]
+        if key in data and not isinstance(data[key], str):
+            raise _shape_error(key, "must be a string")
     return ComplexDocument(
         faces=sorted(dims.items()),
         target=dict(sorted(target.items())),
         sources={k: parsed_sources[k] for k in sorted(parsed_sources)},
-        name=meta.get("name"),
-        description=meta.get("description"),
     )
 
 

@@ -150,8 +150,8 @@ def linear_order_s0(complex_: FaceComplex) -> list[str]:
     order = [starts[0]]
     seen = {starts[0]}
     while True:
-        steps = sorted(
-            w for w in non_targets if order[-1] in complex_.delta(w))
+        steps = [w for w, sign in complex_.cofaces(order[-1])
+                 if sign == MINUS and w in non_targets]
         if not steps:
             break
         if len(steps) > 1:

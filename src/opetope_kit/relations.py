@@ -132,10 +132,7 @@ def gamma_set(complex_: FaceComplex, k: int) -> frozenset[str]:
 
 def lambda_set(complex_: FaceComplex, k: int) -> frozenset[str]:
     """The k-faces that are not a target; complements :func:`gamma_set`."""
-    if not 0 <= k <= complex_.dimension:
-        raise DimensionOutOfRange(f"no stratum {k} in a complex of dim {complex_.dimension}")
-    hit = frozenset(complex_.gamma(w) for w in complex_.stratum(k + 1))
-    return frozenset(complex_.stratum(k)) - hit
+    return frozenset(complex_.stratum(k)) - gamma_set(complex_, k)
 
 
 def boundary_sets(complex_: FaceComplex, x: str) -> tuple[frozenset[str], frozenset[str]]:

@@ -316,20 +316,30 @@ def test_tree_walks_do_not_recurse(tmp_path, capsys):
      {"OPETOPE_KIT_WORK_LIMIT": "abc"}, None, 2),
     (["convert", "{file}", "--to", "dsl"], {},
      emit_json(FaceComplex({"café": 0}, {}, {})).encode("utf-8"), 1),
+    (["morphism", "--from", "{source}", "--to", "{target}", "--map", "{source}"],
+     {}, {"source": b'{"faces":{"x":0,"f":1},"target":{"f":"x"},'
+                    b'"sources":{"f":["x"]}}',
+          "target": b"{"}, 2),
 ], ids=["non-utf8-input", "negative-max-dim", "zero-max-faces",
-        "bad-work-limit", "non-ascii-name-to-dsl"])
+        "bad-work-limit", "non-ascii-name-to-dsl", "parse-error-before-base"])
 def test_exit_code_contract(tmp_path, argv, env, content, code):
-    """Bad input exits with its contract code and a one-line message."""
-    file = tmp_path / ("input.dsl" if argv[0] == "validate" else "input.json")
-    if content is not None:
-        file.write_bytes(content)
+    """Bad input exits with its contract code and a one-line message.
+
+    ``content`` is the text of ``{file}``, or a map from placeholder names
+    to the texts of several files."""
+    suffix = ".dsl" if argv[0] == "validate" else ".json"
+    files = content if isinstance(content, dict) else {"file": content}
+    paths = {key: str(tmp_path / (key + suffix)) for key in files}
+    for key, data in files.items():
+        if data is not None:
+            pathlib.Path(paths[key]).write_bytes(data)
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     full_env = dict(os.environ, **env)
     full_env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "opetope_kit.cli"]
-        + [arg.replace("{file}", str(file)) for arg in argv],
+        + [arg.format(**paths) for arg in argv],
         env=full_env, capture_output=True, text=True, timeout=60)
     assert done.returncode == code
     assert "Traceback" not in done.stderr

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from opetope_kit import (
@@ -10,9 +13,14 @@ from opetope_kit import (
     check_greatest_element,
     check_oriented_thinness,
     complete_half_lozenge,
+    build_complex,
+    corpus_fixtures,
     face_tree,
     greatest_element,
     is_dfc,
+    linear_order_s0,
+    single_edit_mutations,
+    two_cell,
     validate_rooted_tree,
 )
 from opetope_kit.errors import DimensionTooLow, PreconditionViolation
@@ -244,3 +252,63 @@ def test_parenthesis_completion_chains(two2, three1, tree_fixtures):
                         chains = negative_parenthesis_chains(
                             complex_, e, beta, d, c, b)
                         assert len(chains) == 1, (b, c, d, e)
+
+
+DFC_OUTPUTS_SHA256 = "7cafe3574e171706c17db3fc71794dedb59e3f3c28a364da70f36a3449c50723"
+
+
+def _dfc_outputs(complex_):
+    """The dfc reports, then (when it passes) every face tree and the
+    0-face order, as lines of JSON."""
+    checks = (is_dfc, check_greatest_element, check_oriented_thinness,
+              check_acyclicity)
+    lines = [json.dumps(check(complex_).to_dict(), sort_keys=True)
+             for check in checks]
+    if is_dfc(complex_).passed:
+        for x in complex_.faces():
+            if complex_.dim(x) >= 1:
+                tree = face_tree(complex_, x)
+                lines.append(json.dumps(
+                    [x, tree.root, sorted(tree.triplets)]))
+        lines.append(json.dumps(linear_order_s0(complex_)))
+    return lines
+
+
+def test_dfc_outputs_are_pinned(small_pops, tree_fixtures):
+    complexes = list(small_pops)
+    for fixture in corpus_fixtures().values():
+        complexes.append(fixture)
+        for _, dims, target, sources in single_edit_mutations(fixture):
+            built = build_complex(dims, target, sources)
+            if isinstance(built, FaceComplex):
+                complexes.append(built)
+    complexes.extend(tree_fixtures[name] for name in sorted(tree_fixtures))
+    digest = hashlib.sha256()
+    dendritic = 0
+    for complex_ in complexes:
+        dendritic += is_dfc(complex_).passed
+        digest.update("\n".join(_dfc_outputs(complex_)).encode("utf-8") + b"\n")
+    assert len(complexes) == 348
+    assert dendritic == 17
+    assert digest.hexdigest() == DFC_OUTPUTS_SHA256
+
+
+def test_oriented_thinness_reads_cofaces(monkeypatch):
+    """Completing a chain looks at the cofaces of its bottom face, not at
+    every cover of its top face, so the work per chain stays bounded on
+    wide cells."""
+    complex_ = two_cell(200)
+    calls = 0
+    original = FaceComplex.cover_sign
+
+    def counted(self, y, x):
+        nonlocal calls
+        calls += 1
+        return original(self, y, x)
+
+    monkeypatch.setattr(FaceComplex, "cover_sign", counted)
+    assert check_oriented_thinness(complex_).passed
+    chains = sum(1 for x in complex_.faces() if complex_.dim(x) >= 2
+                 for y, _ in complex_.covers(x) for _ in complex_.covers(y))
+    assert chains == 402
+    assert calls <= 5 * chains

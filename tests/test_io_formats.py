@@ -167,12 +167,17 @@ def test_json_allows_unicode_names():
     assert emit_json(built) == '{"faces":{"café":0},"sources":{},"target":{}}'
 
 
-def test_json_metadata_round_trip():
+def test_json_metadata_is_checked_and_ignored():
     text = ('{"description":"tiny","faces":{"x":0},"name":"pt",'
             '"sources":{},"target":{}}')
     doc = parse_json(text)
-    assert doc.name == "pt"
-    assert doc.description == "tiny"
+    assert doc == parse_json('{"faces":{"x":0},"sources":{},"target":{}}')
+    assert not hasattr(doc, "name") and not hasattr(doc, "description")
+    assert emit_json(doc.build()) == '{"faces":{"x":0},"sources":{},"target":{}}'
+    for key in ("name", "description"):
+        with pytest.raises(JsonShapeError) as err:
+            parse_json('{"faces":{"x":0},"%s":7}' % key)
+        assert err.value.path == key
 
 
 def test_round_trip_on_enumerated_instances(small_pops):
