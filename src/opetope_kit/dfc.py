@@ -220,6 +220,15 @@ class RootedTree:
             self, "arity",
             {a: frozenset(slots) for a, slots in dict(self.arity).items()})
         object.__setattr__(self, "triplets", frozenset(self.triplets))
+        # parent and children indices, built once for the queries below
+        ups: dict[str, list[tuple[str, str]]] = {}
+        downs: dict[str, list[tuple[str, str]]] = {}
+        for a, b, c in self.triplets:
+            ups.setdefault(c, []).append((a, b))
+            downs.setdefault(a, []).append((b, c))
+        object.__setattr__(self, "_ups", ups)
+        object.__setattr__(
+            self, "_downs", {a: tuple(sorted(pairs)) for a, pairs in downs.items()})
 
     def leaves(self) -> frozenset[tuple[str, str]]:
         """The (node, slot) pairs not plugged by any triplet."""
@@ -232,11 +241,11 @@ class RootedTree:
 
     def children(self, node: str) -> tuple[tuple[str, str], ...]:
         """Sorted (slot, child) pairs below ``node``."""
-        return tuple(sorted((b, c) for a, b, c in self.triplets if a == node))
+        return self._downs.get(node, ())
 
     def parent(self, node: str) -> tuple[str, str] | None:
         """The (parent, slot) above ``node``, or None for the root."""
-        ups = [(a, b) for a, b, c in self.triplets if c == node]
+        ups = self._ups.get(node)
         if not ups:
             return None
         if len(ups) > 1:
@@ -280,11 +289,9 @@ def validate_rooted_tree(tree: RootedTree) -> AxiomReport:
     if bad:
         return AxiomReport(_sorted_violations(bad))
 
-    parents: dict[str, list[tuple[str, str]]] = {n: [] for n in tree.nodes}
-    for a, b, c in tree.triplets:
-        parents[c].append((a, b))
+    parents = tree._ups
     for n in sorted(tree.nodes):
-        ups = parents[n]
+        ups = parents.get(n, ())
         if n == tree.root:
             if ups:
                 bad.append(Violation(
@@ -297,9 +304,12 @@ def validate_rooted_tree(tree: RootedTree) -> AxiomReport:
     if bad:
         return AxiomReport(_sorted_violations(bad))
 
+    # a walk ends at the first node known to reach the root; a failing walk
+    # never meets one, so its witnesses are the whole walk
+    reaching = {tree.root}
     for n in sorted(tree.nodes):
         cur, seen = n, {n}
-        while cur != tree.root:
+        while cur not in reaching:
             cur = parents[cur][0][0]
             if cur in seen:
                 bad.append(Violation(
@@ -307,6 +317,8 @@ def validate_rooted_tree(tree: RootedTree) -> AxiomReport:
                     f"node {n} never reaches the root (cycle through {cur})"))
                 break
             seen.add(cur)
+        else:
+            reaching |= seen
     return AxiomReport(_sorted_violations(bad))
 
 

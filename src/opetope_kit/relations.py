@@ -4,15 +4,15 @@ Within one stratum two one-step relations exist: ``x`` steps minus to
 ``x'`` when the target of ``x`` is a source of ``x'``, and ``x`` steps
 plus to ``x'`` when some face one dimension up has ``x`` among its sources
 and ``x'`` as its target.  Their transitive closures are the strict orders
-used by every axiom checker.  Comparability and the reflexive extension
-are answered as queries on the closed relation instead of being stored.
+used by every axiom checker.  A closed relation stores one reachability
+bitmask per face of the stratum, a Python ``int`` whose bit ``j`` marks the
+``j``-th face in name order, so every axiom scan reads whole rows of the
+order at once and no pair of the closure is ever stored.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-
 from .core import MINUS, PLUS, FaceComplex
 from .errors import DimensionOutOfRange, DimensionTooLow, UnknownFaceReference
 
@@ -48,28 +48,130 @@ class FacePath:
         return is_upper_path(complex_, self.faces)
 
 
-@dataclass(frozen=True)
 class ClosedRelation:
-    """Transitive closure of a step relation, with O(1) membership."""
+    """Transitive closure of a step relation, as reachability bitmasks.
 
-    dimension: int
-    sign: str
-    pairs: frozenset[tuple[str, str]]
+    Position ``i`` is the face ``faces[i]``, ``steps[i]`` lists the
+    positions it steps to, and bit ``j`` of ``masks[i]`` is set when
+    ``faces[i]`` lies strictly below ``faces[j]``.
+    """
+
+    __slots__ = ("dimension", "sign", "faces", "index", "masks", "steps")
+
+    def __init__(self, dimension: int, sign: str, faces: tuple[str, ...],
+                 index: dict[str, int], steps: list[list[int]]):
+        self.dimension = dimension
+        self.sign = sign
+        self.faces = faces
+        self.index = index
+        self.masks = _reach(steps)
+        self.steps = steps
+
+    @property
+    def pairs(self) -> frozenset[tuple[str, str]]:
+        """Every pair (x, y) with x below y, built on each call."""
+        faces = self.faces
+        return frozenset((x, y) for x, mask in zip(faces, self.masks)
+                         for j, y in enumerate(faces) if mask >> j & 1)
 
     def contains(self, x: str, y: str) -> bool:
         """Strict comparison: x below y."""
-        return (x, y) in self.pairs
+        i, j = self.index.get(x), self.index.get(y)
+        return i is not None and j is not None and self.masks[i] >> j & 1 == 1
 
     def comparable(self, x: str, y: str) -> bool:
         """Either strict direction holds (x != y required)."""
-        return (x, y) in self.pairs or (y, x) in self.pairs
+        return self.contains(x, y) or self.contains(y, x)
 
     def le(self, x: str, y: str) -> bool:
         """Reflexive extension of the strict order."""
-        return x == y or (x, y) in self.pairs
+        return x == y or self.contains(x, y)
 
     def is_irreflexive(self) -> bool:
-        return all(x != y for x, y in self.pairs)
+        return not any(mask >> i & 1 for i, mask in enumerate(self.masks))
+
+    def comparable_masks(self) -> list[int]:
+        """For each position, the positions comparable with it in either
+        direction; the reverse direction is walked on each call."""
+        pred: list[list[int]] = [[] for _ in self.faces]
+        for u, vs in enumerate(self.steps):
+            for v in vs:
+                pred[v].append(u)
+        return [up | down for up, down in zip(self.masks, _reach(pred))]
+
+
+def _reach(succ: list[list[int]]) -> list[int]:
+    """For each node, the bitmask of the nodes it reaches by one step or more.
+
+    A depth-first walk with an explicit stack ORs the successors' bits and
+    masks into a node's mask when the node finishes; a node without
+    successors keeps the empty mask and is never pushed.  A successor still
+    on the stack closes a cycle and is not finished yet, so then the pass
+    is repeated over the finishing order until no mask changes.
+    """
+    masks = [0] * len(succ)
+    state = [0] * len(succ)  # 0 unseen, 1 on the stack, 2 finished
+    order: list[int] = []
+    cyclic = False
+    for root, first in enumerate(succ):
+        if state[root] or not first:
+            continue
+        state[root] = 1
+        stack = [(root, iter(first))]
+        while stack:
+            u, todo = stack[-1]
+            for v in todo:
+                seen = state[v]
+                if not seen and succ[v]:
+                    state[v] = 1
+                    stack.append((v, iter(succ[v])))
+                    break
+                if seen == 1:
+                    cyclic = True
+            else:
+                stack.pop()
+                state[u] = 2
+                mask = 0
+                for v in succ[u]:
+                    mask |= masks[v] | 1 << v
+                masks[u] = mask
+                order.append(u)
+    while cyclic:
+        cyclic = False
+        for u in order:
+            mask = masks[u]
+            for v in succ[u]:
+                mask |= masks[v]
+            if mask != masks[u]:
+                masks[u] = mask
+                cyclic = True
+    return masks
+
+
+def _successors(complex_: FaceComplex, k: int, sign: str
+                ) -> tuple[tuple[str, ...], dict[str, int], list[list[int]]]:
+    """The one-step relation of ``sign`` on stratum ``k``, as the stratum,
+    the position of each face and the positions each face steps to."""
+    faces = complex_.stratum(k)
+    index = dict(zip(faces, range(len(faces))))
+    succ: list[list[int]] = [[] for _ in faces]
+    if sign == PLUS:
+        for w in complex_.stratum(k + 1):
+            t = index[complex_.gamma(w)]
+            for x in complex_.delta(w):
+                succ[index[x]].append(t)
+    elif k > 0:
+        for i, x in enumerate(faces):
+            for x2, s in complex_.cofaces(complex_.gamma(x)):
+                if s == MINUS:
+                    succ[i].append(index[x2])
+    return faces, index, succ
+
+
+def _step_relation(complex_: FaceComplex, k: int, sign: str) -> StepRelation:
+    faces, _, succ = _successors(complex_, k, sign)
+    return StepRelation(k, sign, frozenset((faces[u], faces[v])
+                                           for u, vs in enumerate(succ) for v in vs))
 
 
 def step_minus(complex_: FaceComplex, k: int) -> StepRelation:
@@ -77,50 +179,34 @@ def step_minus(complex_: FaceComplex, k: int) -> StepRelation:
 
     On stratum 0 the relation is empty by definition.
     """
-    pairs: set[tuple[str, str]] = set()
-    if k > 0:
-        for x in complex_.stratum(k):
-            for x2, sign in complex_.cofaces(complex_.gamma(x)):
-                if sign == MINUS:
-                    pairs.add((x, x2))
-    return StepRelation(k, MINUS, frozenset(pairs))
+    return _step_relation(complex_, k, MINUS)
 
 
 def step_plus(complex_: FaceComplex, k: int) -> StepRelation:
     """Pairs (x, x') witnessed by a (k+1)-face with source x and target x'."""
-    pairs: set[tuple[str, str]] = set()
-    for w in complex_.stratum(k + 1):
-        t = complex_.gamma(w)
-        for x in complex_.delta(w):
-            pairs.add((x, t))
-    return StepRelation(k, PLUS, frozenset(pairs))
+    return _step_relation(complex_, k, PLUS)
 
 
 def closure(rel: StepRelation) -> ClosedRelation:
-    """Minimal transitive superset, by depth-first reachability."""
-    succ: dict[str, list[str]] = defaultdict(list)
+    """Minimal transitive superset, as one reachability mask per face."""
+    faces = tuple(sorted({x for pair in rel.pairs for x in pair}))
+    index = dict(zip(faces, range(len(faces))))
+    succ: list[list[int]] = [[] for _ in faces]
     for u, v in rel.pairs:
-        succ[u].append(v)
-    closed: set[tuple[str, str]] = set()
-    for start in succ:
-        reached: set[str] = set()
-        todo = list(succ[start])
-        while todo:
-            cur = todo.pop()
-            if cur in reached:
-                continue
-            reached.add(cur)
-            closed.add((start, cur))
-            todo.extend(succ.get(cur, ()))
-    return ClosedRelation(rel.dimension, rel.sign, frozenset(closed))
+        succ[index[u]].append(index[v])
+    return ClosedRelation(rel.dimension, rel.sign, faces, index, succ)
 
 
 def closed_minus(complex_: FaceComplex, k: int) -> ClosedRelation:
-    return closure(step_minus(complex_, k))
+    """The pairs of ``closure(step_minus(complex_, k))``, over positions in
+    the whole stratum, read without the pair set."""
+    return ClosedRelation(k, MINUS, *_successors(complex_, k, MINUS))
 
 
 def closed_plus(complex_: FaceComplex, k: int) -> ClosedRelation:
-    return closure(step_plus(complex_, k))
+    """The pairs of ``closure(step_plus(complex_, k))``, over positions in
+    the whole stratum, read without the pair set."""
+    return ClosedRelation(k, PLUS, *_successors(complex_, k, PLUS))
 
 
 def gamma_set(complex_: FaceComplex, k: int) -> frozenset[str]:

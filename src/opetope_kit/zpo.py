@@ -14,12 +14,10 @@ enumerator's pruner and the whole-complex checks both run them, through
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .core import MINUS, PLUS, AxiomReport, FaceComplex, Violation
-from .relations import ClosedRelation, boundary_sets, closed_minus, closed_plus, step_plus
+from .relations import ClosedRelation, boundary_sets, closed_minus, closed_plus
 
 _AXIOMS = ("globularity", "strictness", "disjointness", "pencil-linearity",
            "principality")
@@ -55,69 +53,112 @@ def _globularity(complex_: FaceComplex, k: int) -> Iterator[Violation]:
                 f"source-targets is {_fmt(dd - gd)}")
 
 
-def _find_cycle(pairs: frozenset[tuple[str, str]], start: str) -> tuple[str, ...]:
-    """A shortest one-step cycle through ``start``, as a node sequence."""
-    succ: dict[str, list[str]] = defaultdict(list)
-    for u, v in pairs:
-        succ[u].append(v)
-    parent: dict[str, str] = {}
+def _find_cycle(plus: ClosedRelation, start: int) -> tuple[str, ...]:
+    """A shortest one-step cycle through position ``start``, as a face sequence."""
+    parent: dict[int, int] = {}
     frontier = [start]
     seen = {start}
     while frontier:
         nxt = []
         for u in frontier:
-            for v in sorted(succ[u]):
+            for v in sorted(plus.steps[u]):
                 if v == start:
                     path = [u]
                     while path[-1] != start and path[-1] in parent:
                         path.append(parent[path[-1]])
-                    return tuple(reversed(path))
+                    return tuple(plus.faces[p] for p in reversed(path))
                 if v not in seen:
                     seen.add(v)
                     parent[v] = u
                     nxt.append(v)
         frontier = nxt
-    return (start,)
+    return (plus.faces[start],)
 
 
 def _strictness(complex_: FaceComplex, k: int, plus: ClosedRelation) -> Iterator[Violation]:
-    loops = sorted(x for x, y in plus.pairs if x == y)
+    loops = [i for i, mask in enumerate(plus.masks) if mask >> i & 1]
     if loops:
-        cycle = _find_cycle(step_plus(complex_, k).pairs, loops[0])
+        cycle = _find_cycle(plus, loops[0])
         yield Violation(
             "strictness", cycle,
             f"plus-cycle in dimension {k}: {' -> '.join(cycle + (cycle[0],))}")
-    if k == 0:
-        for x, y in combinations(complex_.stratum(0), 2):
-            if not plus.comparable(x, y):
-                yield Violation(
-                    "strictness", (x, y),
-                    f"dimension-0 faces {x} and {y} are not plus-comparable")
+    if k > 0:
+        return
+    faces = plus.faces
+    for i, j in _incomparable(plus, range(len(faces))):
+        x, y = faces[i], faces[j]
+        yield Violation(
+            "strictness", (x, y),
+            f"dimension-0 faces {x} and {y} are not plus-comparable")
 
 
 def _disjointness(complex_: FaceComplex, k: int, plus: ClosedRelation) -> Iterator[Violation]:
-    if k < 1:
+    if k < 1 or not any(plus.masks):
         return
     minus = closed_minus(complex_, k)
-    for x, y in combinations(complex_.stratum(k), 2):
-        if plus.comparable(x, y) and minus.comparable(x, y):
-            yield Violation(
-                "disjointness", (x, y),
-                f"faces {x} and {y} are comparable in both orders")
+    if not any(minus.masks):
+        return
+    # each pair comparable in both orders shows in the row of its plus-lower
+    # face, and in both rows when the two lie on a plus-cycle
+    minus_comparable = minus.comparable_masks()
+    pairs = []
+    for i, up in enumerate(plus.masks):
+        both = up & minus_comparable[i] & ~(1 << i)
+        while both:
+            low = both & -both
+            j = low.bit_length() - 1
+            pairs.append((i, j) if i < j else (j, i))
+            both ^= low
+    faces = plus.faces
+    for i, j in sorted(set(pairs)):
+        x, y = faces[i], faces[j]
+        yield Violation(
+            "disjointness", (x, y),
+            f"faces {x} and {y} are comparable in both orders")
+
+
+def _incomparable(plus: ClosedRelation, members: Iterable[int]) -> list[tuple[int, int]]:
+    """The pairs of members, lower position first and in position order,
+    that the plus order leaves incomparable.
+
+    A face that reaches another without being reached back reaches more
+    faces, itself counted, than the other.  So once the members are ranked
+    by that count, a member is comparable with one ranked below it exactly
+    when its own mask holds that one, and no mask of the reverse direction
+    is needed.
+    """
+    masks = plus.masks
+    pairs = []
+    below = 0
+    for i in sorted(members, key=lambda i: (masks[i] | 1 << i).bit_count()):
+        apart = below & ~masks[i]
+        while apart:
+            low = apart & -apart
+            j = low.bit_length() - 1
+            pairs.append((i, j) if i < j else (j, i))
+            apart ^= low
+        below |= 1 << i
+    pairs.sort()
+    return pairs
 
 
 def _pencil_linearity(complex_: FaceComplex, k: int,
                       plus: ClosedRelation) -> Iterator[Violation]:
+    faces, index = plus.faces, plus.index
     for y in complex_.stratum(k - 1):
         cofaces = complex_.cofaces(y)
+        if len(cofaces) < 2:
+            continue
         for label, sign in (("target", PLUS), ("source", MINUS)):
-            pencil = [x for x, s in cofaces if s == sign]
-            for x, x2 in combinations(pencil, 2):
-                if not plus.comparable(x, x2):
-                    yield Violation(
-                        "pencil-linearity", (y, x, x2),
-                        f"{label} pencil over {y}: {x} and {x2} are "
-                        f"not plus-comparable")
+            pencil = [index[x] for x, s in cofaces if s == sign]
+            if len(pencil) < 2:
+                continue
+            for i, j in _incomparable(plus, pencil):
+                x, x2 = faces[i], faces[j]
+                yield Violation(
+                    "pencil-linearity", (y, x, x2),
+                    f"{label} pencil over {y}: {x} and {x2} are "
+                    f"not plus-comparable")
 
 
 def _principality(complex_: FaceComplex, k: int) -> Iterator[Violation]:

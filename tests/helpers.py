@@ -72,6 +72,19 @@ def brute_force_lower_reachable(complex_: FaceComplex, k: int):
     return reach
 
 
+def warshall_closure(names, pairs) -> set[tuple[str, str]]:
+    """Transitive closure of a set of pairs over ``names``, by Warshall's
+    triple loop on plain pair sets."""
+    closed = set(pairs)
+    for mid in names:
+        for x in names:
+            if (x, mid) in closed:
+                for y in names:
+                    if (mid, y) in closed:
+                        closed.add((x, y))
+    return closed
+
+
 def positive_parenthesis_chains(complex_: FaceComplex, e: str, beta: str,
                                 c: str, b: str):
     """All chains closing the configuration e <beta d <+ c <- b.

@@ -312,3 +312,68 @@ def test_oriented_thinness_reads_cofaces(monkeypatch):
                  for y, _ in complex_.covers(x) for _ in complex_.covers(y))
     assert chains == 402
     assert calls <= 5 * chains
+
+
+ROOTED_TREE_QUERIES_SHA256 = "f8b013a5a33d49fd1de87d9f0f71ec0f81fe96c160116d87c825f6dfcd2d22fb"
+
+
+def _tree_queries(tree):
+    """Every node's descending path and children, or the error it raises."""
+    lines = []
+    for node in sorted(tree.nodes):
+        try:
+            path = tree.descending_path(node)
+        except InternalInvariantBroken as exc:
+            path = f"error: {exc}"
+        lines.append(json.dumps([node, path, tree.children(node)]))
+    return lines
+
+
+def _malformed_trees():
+    def tree(nodes, arity, triplets, root):
+        return RootedTree(frozenset(nodes),
+                          {a: frozenset(s) for a, s in arity.items()},
+                          frozenset(triplets), root)
+
+    return [
+        tree("ab", {"a": "s", "b": "t"}, {("a", "s", "b"), ("b", "t", "a")}, "a"),
+        tree("rabcde", {"r": "pq", "a": "u", "b": "v", "c": "wx", "d": "", "e": ""},
+             {("r", "p", "a"), ("a", "u", "e"), ("b", "v", "c"), ("c", "w", "b"),
+              ("c", "x", "d")}, "r"),
+        tree("rabc", {"r": "p", "a": "u", "b": "v", "c": "w"},
+             {("r", "p", "a"), ("b", "v", "c"), ("c", "w", "b")}, "r"),
+        tree("rab", {"r": "pq", "a": "u", "b": ""},
+             {("r", "p", "b"), ("a", "u", "b")}, "r"),
+        tree("ra", {"r": "p", "a": "u"}, {("r", "p", "a"), ("a", "u", "r")}, "r"),
+        tree("ra", {"r": "p", "a": ""}, {("r", "x", "a")}, "r"),
+        tree("rab", {"r": "p", "a": "", "b": ""}, {("r", "p", "a"), ("r", "p", "b")}, "r"),
+        tree("ra", {"r": "p", "a": ""}, {("r", "p", "z")}, "r"),
+        tree("ra", {"r": "p", "a": ""}, set(), "r"),
+        tree("ra", {"r": "p", "a": ""}, {("r", "p", "a")}, "q"),
+    ]
+
+
+def test_rooted_tree_queries_are_pinned(tree_fixtures):
+    """Descending paths and children on well-formed trees, then the
+    validation reports and query outcomes on malformed ones."""
+    from opetope_kit import chain_tree, fork_tree, nested_tree
+
+    trees = [chain_tree(), fork_tree(), nested_tree()]
+    cells = [tree_fixtures[name] for name in sorted(tree_fixtures)]
+    cells += [corpus_fixtures()[name] for name in sorted(corpus_fixtures())]
+    for complex_ in cells:
+        if is_dfc(complex_).passed:
+            trees.extend(face_tree(complex_, x) for x in complex_.faces()
+                         if complex_.dim(x) >= 1)
+    digest = hashlib.sha256()
+    for tree in trees:
+        digest.update("\n".join(_tree_queries(tree)).encode("utf-8") + b"\n")
+    malformed = _malformed_trees()
+    for tree in malformed:
+        report = validate_rooted_tree(tree)
+        assert not report.passed
+        digest.update(json.dumps(report.to_dict(), sort_keys=True).encode("utf-8") + b"\n")
+        if tree.root in tree.nodes and all(c in tree.nodes for _, _, c in tree.triplets):
+            digest.update("\n".join(_tree_queries(tree)).encode("utf-8") + b"\n")
+    assert len(trees) == 117
+    assert digest.hexdigest() == ROOTED_TREE_QUERIES_SHA256

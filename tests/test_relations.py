@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from opetope_kit import (
@@ -17,7 +20,7 @@ from opetope_kit import (
 )
 from opetope_kit.relations import closed_minus, closed_plus
 
-from helpers import brute_force_lower_reachable
+from helpers import brute_force_lower_reachable, warshall_closure
 
 
 def test_step_minus_two2(two2):
@@ -43,6 +46,50 @@ def test_closure_examples(two2):
     cyclic = closure(StepRelation(0, "+", frozenset({("a", "b"), ("b", "a")})))
     assert ("a", "a") in cyclic.pairs
     assert not cyclic.is_irreflexive()
+
+
+def _closure_agrees_with_warshall(names, pairs):
+    """Compare ``closure`` with the oracle on every pair of ``names``, a
+    stratum that may hold faces no pair names."""
+    closed = closure(StepRelation(0, "+", frozenset(pairs)))
+    names = sorted(names)
+    expected = warshall_closure(names, pairs)
+    assert closed.pairs == frozenset(expected)
+    assert closed.is_irreflexive() == all(x != y for x, y in expected)
+    for x, y in itertools.product(names, repeat=2):
+        assert closed.contains(x, y) == ((x, y) in expected)
+        assert closed.le(x, y) == (x == y or (x, y) in expected)
+        assert closed.comparable(x, y) == ((x, y) in expected or (y, x) in expected)
+    for i, x in enumerate(closed.faces):
+        assert closed.comparable_masks()[i] == sum(
+            1 << j for j, y in enumerate(closed.faces)
+            if (x, y) in expected or (y, x) in expected)
+    return expected
+
+
+def test_closure_matches_warshall_oracle():
+    # walking from a, b finishes before a and first misses b < b; only the
+    # repeat pass over the finishing order adds it
+    expected = _closure_agrees_with_warshall(
+        ("a", "b", "c"), {("a", "b"), ("b", "a"), ("b", "c")})
+    assert ("b", "b") in expected
+    rng = random.Random(4021)
+    shapes = {"empty": 0, "self-loop": 0, "2-cycle": 0, "longer cycle": 0,
+              "isolated face": 0}
+    for _ in range(400):
+        names = rng.sample("abcdefghijklmnop", rng.randint(0, 9))
+        density = rng.choice((0.0, 0.1, 0.2, 0.4))
+        pairs = {(x, y) for x in names for y in names if rng.random() < density}
+        expected = _closure_agrees_with_warshall(names, pairs)
+        shapes["empty"] += not pairs
+        shapes["self-loop"] += any(x == y for x, y in pairs)
+        shapes["2-cycle"] += any(x != y and (y, x) in pairs for x, y in pairs)
+        shapes["longer cycle"] += any(
+            (x, x) in expected and (x, x) not in pairs
+            and not any((x, y) in pairs and (y, x) in pairs for y in names)
+            for x in names)
+        shapes["isolated face"] += bool(set(names) - {x for pair in pairs for x in pair})
+    assert all(count >= 5 for count in shapes.values()), shapes
 
 
 def test_closed_relation_queries(two2):
@@ -153,6 +200,8 @@ def test_step_relations_inside_stratum(small_pops):
             names = set(complex_.stratum(k))
             for x, y in step_minus(complex_, k).pairs | step_plus(complex_, k).pairs:
                 assert x in names and y in names
+            assert closure(step_plus(complex_, k)).pairs == closed_plus(complex_, k).pairs
+            assert closure(step_minus(complex_, k)).pairs == closed_minus(complex_, k).pairs
 
 
 def test_iota_decompositions_on_opetopes(two2, three1):

@@ -1,5 +1,8 @@
 import hashlib
+import itertools
 import json
+import random
+import tracemalloc
 
 from opetope_kit import (
     FaceComplex,
@@ -15,6 +18,8 @@ from opetope_kit import (
     three_one,
     two_cell,
 )
+
+from helpers import warshall_closure
 
 
 def test_globularity_passes(two2, fix_point):
@@ -208,3 +213,39 @@ def test_settled_violations_ignore_higher_strata(enumerated):
                 list(settled_violations(complex_, k))
             levels += 1
     assert levels > 2000
+
+
+def test_positive_opetope_check_memory_is_bounded():
+    """The closures are stored as one bitmask per face, so the checker's
+    peak allocation on a wide cell stays far below one pair per comparison."""
+    complex_ = two_cell(600)
+    tracemalloc.start()
+    try:
+        assert is_positive_opetope(complex_).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_point_comparability_matches_warshall_oracle():
+    """Dimension-0 strictness reports exactly the point pairs that the
+    transitive closure of the arrows leaves incomparable, cycles included."""
+    rng = random.Random(5077)
+    cyclic = 0
+    for _ in range(300):
+        points = [f"p{i}" for i in range(rng.randint(1, 8))]
+        arrows = [tuple(rng.sample(points, 2)) for _ in range(rng.randint(0, 9))
+                  if len(points) > 1]
+        dims = dict.fromkeys(points, 0)
+        dims.update((f"f{i}", 1) for i in range(len(arrows)))
+        complex_ = FaceComplex(dims, {f"f{i}": y for i, (_, y) in enumerate(arrows)},
+                               {f"f{i}": [x] for i, (x, _) in enumerate(arrows)})
+        below = warshall_closure(points, set(arrows))
+        cyclic += any((x, x) in below for x in points)
+        expected = [(x, y) for x, y in itertools.combinations(sorted(points), 2)
+                    if (x, y) not in below and (y, x) not in below]
+        reported = [v.witnesses for v in check_strictness(complex_).violations
+                    if "not plus-comparable" in v.detail]
+        assert reported == expected
+    assert cyclic >= 20
