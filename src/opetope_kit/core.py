@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 from .errors import (
@@ -103,18 +104,25 @@ def _sorted_violations(violations: list[Violation]) -> tuple[Violation, ...]:
     return tuple(sorted(violations, key=lambda v: (v.axiom, v.witnesses, v.detail)))
 
 
-def _normalize_faces(faces) -> list[tuple[object, object]]:
-    if isinstance(faces, Mapping):
-        return sorted(faces.items(), key=lambda kv: (str(kv[0])))
-    return [tuple(item) for item in faces]
+class _Faces(dict):
+    """A map keyed by face name whose lookup rejects an unknown name, so a
+    ``FaceComplex`` query needs no membership test before its lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, name):
+        raise UnknownFaceReference(f"unknown face {name!r}")
 
 
 def _validate(faces, target, sources):
-    """Check the base axioms; return (violations, dims, target, sources)."""
-    bad: list[Violation] = []
-    items = _normalize_faces(faces)
+    """Check the base axioms; return (violations, dims, target, sources).
 
-    dims: dict[str, int] = {}
+    Inputs are read in the order given: the report is sorted at the end.
+    """
+    bad: list[Violation] = []
+    items = list(faces.items()) if isinstance(faces, Mapping) else [tuple(i) for i in faces]
+
+    dims: _Faces = _Faces()
     for entry in items:
         if len(entry) != 2:
             bad.append(Violation("InvalidFaceName", (), f"malformed face entry {entry!r}"))
@@ -135,7 +143,7 @@ def _validate(faces, target, sources):
         bad.append(Violation("EmptyComplex", (), "a complex must contain at least one face"))
 
     tgt: dict[str, str] = {}
-    for x in sorted(target, key=str):
+    for x in target:
         t = target[x]
         if x not in dims:
             bad.append(Violation("UnknownFaceReference", (str(x),), f"target declared for unknown face {x!r}"))
@@ -154,7 +162,7 @@ def _validate(faces, target, sources):
         tgt[x] = t
 
     src: dict[str, frozenset[str]] = {}
-    for x in sorted(sources, key=str):
+    for x in sources:
         entries = sources[x]
         if x not in dims:
             bad.append(Violation("UnknownFaceReference", (str(x),), f"sources declared for unknown face {x!r}"))
@@ -181,8 +189,8 @@ def _validate(faces, target, sources):
         if ok:
             src[x] = frozenset(seen)
 
-    for x in sorted(dims, key=lambda n: (dims[n], n)):
-        if dims[x] == 0:
+    for x, d in dims.items():
+        if d == 0:
             continue
         has_t = x in tgt
         has_s = x in src
@@ -194,7 +202,7 @@ def _validate(faces, target, sources):
             bad.append(Violation(
                 "SignClash", (tgt[x], x),
                 f"face {tgt[x]} is both the target and a source of {x}"))
-        if dims[x] == 1 and has_s and len(src[x]) > 1:
+        if d == 1 and has_s and len(src[x]) > 1:
             bad.append(Violation(
                 "Delta0NotFunctional", (x,),
                 f"dimension-1 face {x} has {len(src[x])} sources"))
@@ -217,32 +225,28 @@ class FaceComplex:
     axiom fails; the exception carries the full report.
     """
 
-    __slots__ = ("_dims", "_strata", "_target", "_sources", "_above", "_key", "_hash")
+    __slots__ = ("_dims", "_strata", "_target", "_sources", "_above")
 
     def __init__(self, faces, target, sources):
         bad, dims, tgt, src = _validate(faces, target, sources)
         if bad:
             raise InvalidComplex(AxiomReport(bad))
         self._dims = dims
-        strata: dict[int, tuple[str, ...]] = {}
-        for k in range(max(dims.values()) + 1):
-            strata[k] = tuple(sorted(n for n, d in dims.items() if d == k))
-        self._strata = strata
         self._target = tgt
         self._sources = src
+        # One pass in name order: each stratum comes out sorted, and so do
+        # the cofaces of each face, since they share one dimension and a
+        # face covers another with one sign only (no SignClash).
+        strata: list[list[str]] = [[] for _ in range(max(dims.values()) + 1)]
         above: dict[str, list[tuple[str, str]]] = {n: [] for n in dims}
-        for x in sorted(tgt):
-            above[tgt[x]].append((x, PLUS))
-        for x in sorted(src):
-            for y in sorted(src[x]):
-                above[y].append((x, MINUS))
-        self._above = {n: tuple(sorted(v)) for n, v in above.items()}
-        self._key = (
-            tuple(sorted(dims.items())),
-            tuple(sorted(tgt.items())),
-            tuple(sorted((x, tuple(sorted(s))) for x, s in src.items())),
-        )
-        self._hash = hash(self._key)
+        for x in sorted(dims):
+            strata[dims[x]].append(x)
+            if x in tgt:
+                above[tgt[x]].append((x, PLUS))
+                for y in src[x]:
+                    above[y].append((x, MINUS))
+        self._strata = {k: tuple(names) for k, names in enumerate(strata)}
+        self._above = _Faces((n, tuple(v)) for n, v in above.items())
 
     # -- basic queries -------------------------------------------------
 
@@ -253,10 +257,12 @@ class FaceComplex:
         return len(self._dims)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FaceComplex) and self._key == other._key
+        return (isinstance(other, FaceComplex) and self._dims == other._dims
+                and self._target == other._target and self._sources == other._sources)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((frozenset(self._dims.items()), frozenset(self._target.items()),
+                     frozenset(self._sources.items())))
 
     def __repr__(self) -> str:
         return f"FaceComplex({len(self)} faces, dim {self.dimension})"
@@ -268,10 +274,7 @@ class FaceComplex:
 
     def faces(self) -> tuple[str, ...]:
         """All face names, ordered by (dimension, name)."""
-        out = []
-        for k in range(self.dimension + 1):
-            out.extend(self._strata[k])
-        return tuple(out)
+        return tuple(chain.from_iterable(self._strata.values()))
 
     def stratum(self, k: int) -> tuple[str, ...]:
         """The sorted faces of dimension ``k`` (empty above the top)."""
@@ -280,47 +283,37 @@ class FaceComplex:
         return self._strata.get(k, ())
 
     def dim(self, name: str) -> int:
-        self._check(name)
         return self._dims[name]
-
-    def _check(self, name: str) -> None:
-        if name not in self._dims:
-            raise UnknownFaceReference(f"unknown face {name!r}")
 
     # -- covers --------------------------------------------------------
 
     def gamma(self, name: str) -> str:
         """The target of a face of dimension >= 1."""
-        self._check(name)
         if self._dims[name] == 0:
             raise ZeroDimensionalFace(f"face {name} has no target")
         return self._target[name]
 
     def delta(self, name: str) -> frozenset[str]:
         """The source set of a face of dimension >= 1."""
-        self._check(name)
         if self._dims[name] == 0:
             raise ZeroDimensionalFace(f"face {name} has no sources")
         return self._sources[name]
 
     def iterated_target(self, name: str, k: int) -> str:
         """Apply the target map until reaching dimension ``k``."""
-        self._check(name)
+        d = self._dims[name]
         if k < 0:
             raise DimensionOutOfRange(f"dimension {k} is negative")
-        if k > self._dims[name]:
-            raise DimensionTooHigh(
-                f"face {name} has dim {self._dims[name]} < {k}")
+        if k > d:
+            raise DimensionTooHigh(f"face {name} has dim {d} < {k}")
         x = name
-        while self._dims[x] > k:
+        for _ in range(d - k):
             x = self._target[x]
         return x
 
     def cover_sign(self, y: str, x: str) -> str | None:
         """'-' or '+' when ``y`` is covered by ``x``, else None."""
-        self._check(y)
-        self._check(x)
-        if self._dims.get(x, 0) >= 1:
+        if self._dims[y] + 1 == self._dims[x]:
             if self._target[x] == y:
                 return PLUS
             if y in self._sources[x]:
@@ -329,29 +322,27 @@ class FaceComplex:
 
     def covers(self, x: str) -> tuple[tuple[str, str], ...]:
         """Faces covered by ``x`` as sorted (face, sign) pairs."""
-        self._check(x)
         if self._dims[x] == 0:
             return ()
-        out = [(y, MINUS) for y in sorted(self._sources[x])]
+        out = [(y, MINUS) for y in self._sources[x]]
         out.append((self._target[x], PLUS))
         return tuple(sorted(out))
 
     def cofaces(self, y: str) -> tuple[tuple[str, str], ...]:
         """Faces covering ``y`` as sorted (face, sign) pairs."""
-        self._check(y)
         return self._above[y]
 
     def downset(self, x: str) -> frozenset[str]:
         """All faces reachable downward from ``x``, including ``x``."""
-        self._check(x)
         seen = {x}
-        todo = [x]
+        todo = [x] if self._dims[x] else []
         while todo:
             cur = todo.pop()
-            for y, _ in self.covers(cur):
+            for y in (self._target[cur], *self._sources[cur]):
                 if y not in seen:
                     seen.add(y)
-                    todo.append(y)
+                    if y in self._target:
+                        todo.append(y)
         return frozenset(seen)
 
     # -- export / rebuild ----------------------------------------------

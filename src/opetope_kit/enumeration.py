@@ -16,6 +16,7 @@ frozen census numbers never rest on the clever path alone.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -68,22 +69,24 @@ class _WorkMeter:
                 f"raise {WORK_LIMIT_ENV} to allow more")
 
 
-def _profiles(budget: EnumerationBudget) -> list[tuple[int, ...]]:
-    """All stratum-size tuples within the budget (no internal zeros)."""
-    found: list[tuple[int, ...]] = []
+def _profiles(budget: EnumerationBudget, limit: int) -> Iterator[tuple[int, ...]]:
+    """All stratum-size tuples within the budget (no internal zeros), sorted.
 
-    def grow(prefix: list[int]) -> None:
-        found.append(tuple(prefix))
-        k = len(prefix)
-        room = budget.max_faces_total - sum(prefix)
-        if k > budget.max_dim or room < 1:
-            return
-        for n in range(1, room + 1):
-            grow(prefix + [n])
-
-    for n0 in range(1, budget.max_faces_total + 1):
-        grow([n0])
-    return sorted(found)
+    There are ``comb(max_faces_total, n)`` tuples of length ``n``; a budget
+    with more than ``limit`` tuples is refused before any is made.
+    """
+    total = budget.max_faces_total
+    counts = (math.comb(total, n) for n in range(1, min(budget.max_dim + 1, total) + 1))
+    if any(count > limit for count in itertools.accumulate(counts)):
+        raise BudgetTooLarge(
+            f"the budget has more than {limit} stratum-size profiles, over the "
+            f"work limit; raise {WORK_LIMIT_ENV} to allow more")
+    stack = [(n,) for n in range(total, 0, -1)]
+    while stack:
+        profile = stack.pop()
+        yield profile
+        if len(profile) <= budget.max_dim:
+            stack.extend(profile + (n,) for n in range(total - sum(profile), 0, -1))
 
 
 def _stratum_names(profile: tuple[int, ...]) -> list[tuple[str, ...]]:
@@ -137,7 +140,7 @@ def _assemble(names, profile, chosen) -> FaceComplex:
 
 def _candidates(budget: EnumerationBudget, meter: _WorkMeter,
                 opetopes_only: bool) -> Iterator[FaceComplex]:
-    for profile in _profiles(budget):
+    for profile in _profiles(budget, meter.limit):
         if opetopes_only and profile[-1] != 1:
             continue
         names = _stratum_names(profile)
@@ -209,7 +212,7 @@ def naive_enumerate_pops(budget: EnumerationBudget,
     """
     meter = _WorkMeter(resolve_work_limit(work_limit))
     certs = set()
-    for profile in _profiles(budget):
+    for profile in _profiles(budget, meter.limit):
         names = _stratum_names(profile)
         spaces = []
         for k in range(1, len(profile)):

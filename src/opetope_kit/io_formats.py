@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import FaceComplex, build_complex, is_valid_face_name
@@ -134,8 +135,9 @@ def parse_dsl(text: str) -> ComplexDocument:
             scanner.end()
             if name in doc.sources:
                 raise DuplicateDeclaration(lineno, f"sources of {name}")
+            counts = Counter(entries)
             for entry in entries:
-                if entries.count(entry) > 1:
+                if counts[entry] > 1:
                     raise DuplicateDeclaration(
                         lineno, f"source {entry} of {name}")
             doc.sources[name] = entries

@@ -320,8 +320,13 @@ def test_tree_walks_do_not_recurse(tmp_path, capsys):
      {}, {"source": b'{"faces":{"x":0,"f":1},"target":{"f":"x"},'
                     b'"sources":{"f":["x"]}}',
           "target": b"{"}, 2),
+    (["enumerate", "--max-dim", "1500", "--max-faces", "1500", "--count-only"],
+     {}, None, 1),
+    (["enumerate", "--max-dim", "40", "--max-faces", "40", "--count-only"],
+     {}, None, 1),
 ], ids=["non-utf8-input", "negative-max-dim", "zero-max-faces",
-        "bad-work-limit", "non-ascii-name-to-dsl", "parse-error-before-base"])
+        "bad-work-limit", "non-ascii-name-to-dsl", "parse-error-before-base",
+        "deep-budget", "wide-budget"])
 def test_exit_code_contract(tmp_path, argv, env, content, code):
     """Bad input exits with its contract code and a one-line message.
 

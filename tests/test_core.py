@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from opetope_kit import (
@@ -9,8 +13,10 @@ from opetope_kit import (
     ZeroDimensionalFace,
     build_complex,
     compose_morphisms,
+    corpus_fixtures,
     from_hypergraph_view,
     identity_morphism,
+    single_edit_mutations,
     to_hypergraph_view,
     validate_complex_data,
     validate_morphism,
@@ -85,12 +91,38 @@ def test_eager_validation_raises():
 
 
 def test_zero_dimensional_face_queries(two2):
-    with pytest.raises(ZeroDimensionalFace):
-        two2.delta("x0")
-    with pytest.raises(ZeroDimensionalFace):
-        two2.gamma("x1")
+    for point_ in two2.stratum(0):
+        with pytest.raises(ZeroDimensionalFace):
+            two2.delta(point_)
+        with pytest.raises(ZeroDimensionalFace):
+            two2.gamma(point_)
+        assert two2.downset(point_) == frozenset({point_})
+        assert two2.covers(point_) == ()
+        for y in two2.faces():
+            assert two2.cover_sign(y, point_) is None
     with pytest.raises(UnknownFaceReference):
         two2.delta("nope")
+
+
+UNKNOWN_NAME_QUERIES = {
+    "dim": lambda c: c.dim("nope"),
+    "gamma": lambda c: c.gamma("nope"),
+    "delta": lambda c: c.delta("nope"),
+    "iterated_target": lambda c: c.iterated_target("nope", 0),
+    "cover_sign(nope, x)": lambda c: c.cover_sign("nope", "f1"),
+    "cover_sign(y, nope)": lambda c: c.cover_sign("x0", "nope"),
+    "cover_sign(nope, nope2)": lambda c: c.cover_sign("nope", "nope2"),
+    "covers": lambda c: c.covers("nope"),
+    "cofaces": lambda c: c.cofaces("nope"),
+    "downset": lambda c: c.downset("nope"),
+}
+
+
+@pytest.mark.parametrize("query", sorted(UNKNOWN_NAME_QUERIES))
+def test_accessors_reject_unknown_names(two2, query):
+    with pytest.raises(UnknownFaceReference) as err:
+        UNKNOWN_NAME_QUERIES[query](two2)
+    assert str(err.value) == "unknown face 'nope'"
 
 
 def test_iterated_target(two2):
@@ -120,6 +152,37 @@ def test_structural_equality_and_hash(two2):
     assert clone == two2
     assert hash(clone) == hash(two2)
     assert clone != two2.relabel({n: n + "z" for n in two2.faces()})
+
+
+def _shuffled(rng, mapping):
+    items = list(mapping.items())
+    rng.shuffle(items)
+    return items
+
+
+def test_equality_ignores_input_order(small_pops):
+    rng = random.Random(3571)
+    complexes = [*corpus_fixtures().values(), *small_pops]
+    for complex_ in complexes:
+        dims, target, sources = complex_.to_data()
+        for _ in range(3):
+            faces = _shuffled(rng, dims)
+            clone = FaceComplex(
+                faces if rng.random() < 0.5 else dict(faces),
+                dict(_shuffled(rng, target)),
+                {x: list(s) for x, s in _shuffled(rng, sources)})
+            assert clone == complex_
+            assert hash(clone) == hash(complex_)
+        for _, *data in single_edit_mutations(complex_):
+            built = build_complex(*data)
+            if isinstance(built, FaceComplex):
+                assert built != complex_
+    points = FaceComplex({"x": 0, "y": 0, "z": 0, "f": 1},
+                         {"f": "y"}, {"f": {"x"}})
+    raised = FaceComplex({"x": 0, "y": 0, "z": 1, "f": 1},
+                         {"f": "y", "z": "y"}, {"f": {"x"}, "z": {"x"}})
+    assert points != raised
+    assert FaceComplex({"x": 0}, {}, {}) != FaceComplex({"y": 0}, {}, {})
 
 
 def test_hypergraph_view_round_trip(two2, fix_arrow, three1):
@@ -232,3 +295,54 @@ def test_validate_complex_data_matches_build(two2):
     assert validate_complex_data(dims, target, sources).passed
     del target["alpha"]
     assert not validate_complex_data(dims, target, sources).passed
+
+
+# Malformed inputs for the base validator, as face pairs (so duplicates can
+# be written) plus target and source maps.
+MALFORMED_BASE_INPUTS = [
+    ([("x", 0), ("x", 0), ("y", 0), ("x", 1), ("b d", 0), (3, 0), ("", 0)],
+     {}, {}),
+    ([("x", 0), ("a", True), ("b", -1), ("c", "1"), ("d", 1.0)], {}, {}),
+    ([("x", 0), ("y", 0), ("f", 1)],
+     {"f": "y", "zz": "x", 3: "x"}, {"f": ["x"], "qq": ["x"], 3: ["x"]}),
+    ([("x", 0), ("y", 0), ("f", 1)],
+     {"f": "y", "x": "y"}, {"f": ["x"], "y": ["x"]}),
+    ([("x", 0), ("y", 0), ("f", 1), ("g", 1), ("a", 2), ("b", 2)],
+     {"f": "g", "g": "y", "a": "x", "b": "g"},
+     {"f": ["a"], "g": ["x"], "a": ["f", "f"], "b": ["f", "x", "f"]}),
+    ([("x", 0), ("y", 0), ("f", 1), ("g", 1)],
+     {"f": "y", "g": "y"}, {"f": ["x", "y"], "g": ["x", "x"]}),
+    ([], {}, {}),
+    ([("x", 0), ("f", 1), ("g", 1), ("h", 1)],
+     {"f": "x", "h": "x"}, {"g": ["x"], "h": []}),
+    ([("x", 0), ("y", 0), ("f", 1), ("a", 2)],
+     {"f": "nope", "a": "f"}, {"f": ["nope2", "x"], "a": ["f", "nope3"]}),
+    ([("x", 0), ("y", 0), ("f", 1), ("g", 1), ("a", 2)],
+     {"f": "y", "g": "y", "a": "f"}, {"f": {"x"}, "g": {"x"}, "a": {"f", "g"}}),
+]
+
+BASE_REPORTS_SHA256 = "a67913c51251ed19007a3289c22a40e8fe390e3aebb571707eb0b125327abea7"
+
+
+def _base_report_inputs(small_pops):
+    for complex_ in [*corpus_fixtures().values(), *small_pops]:
+        for _, dims, target, sources in single_edit_mutations(complex_):
+            yield dims, target, sources
+    for pairs, target, sources in MALFORMED_BASE_INPUTS:
+        for order in (list, lambda seq: list(reversed(seq))):
+            ordered_target = dict(order(list(target.items())))
+            ordered_sources = dict(order(list(sources.items())))
+            yield order(pairs), ordered_target, ordered_sources
+            yield dict(order(pairs)), ordered_target, ordered_sources
+    yield [("x", 0), ("y",), ("z", 0, 1)], {}, {}
+
+
+def test_base_reports_are_pinned(small_pops):
+    digest = hashlib.sha256()
+    count = 0
+    for faces, target, sources in _base_report_inputs(small_pops):
+        report = validate_complex_data(faces, target, sources).to_dict()
+        digest.update(json.dumps(report, sort_keys=True).encode("utf-8") + b"\n")
+        count += 1
+    assert count == 1088
+    assert digest.hexdigest() == BASE_REPORTS_SHA256

@@ -27,11 +27,14 @@ def test_budget_validation():
 
 def test_profiles_respect_budget():
     budget = EnumerationBudget(2, 4)
-    profiles = _profiles(budget)
+    profiles = list(_profiles(budget, 14))
     assert (1,) in profiles and (4,) in profiles
     assert (2, 1, 1) in profiles
     assert all(sum(p) <= 4 and len(p) <= 3 for p in profiles)
     assert all(all(n >= 1 for n in p) for p in profiles)
+    assert profiles == sorted(profiles) and len(profiles) == 14
+    with pytest.raises(BudgetTooLarge, match="work limit"):
+        next(_profiles(budget, 13))
 
 
 def test_dim0_enumeration():

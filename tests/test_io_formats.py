@@ -84,6 +84,12 @@ def test_duplicate_declarations():
         parse_dsl("face f : 1\nsrc f <- a, a")
 
 
+def test_duplicate_source_names_first_repeat_in_list_order():
+    with pytest.raises(DuplicateDeclaration) as err:
+        parse_dsl("face f : 1\nsrc f <- a, b, b, a")
+    assert str(err.value) == "line 2: duplicate declaration (source a of f)"
+
+
 def test_dim0_subject_is_a_parse_error():
     with pytest.raises(DslSyntaxError) as err:
         parse_dsl("face x : 0\nface y : 0\ntgt x -> y")
