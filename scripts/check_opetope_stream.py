@@ -1,0 +1,48 @@
+#!/usr/bin/env python3
+"""Check the pruned opetope search against the unpruned one.
+
+For each budget, ``enumerate_positive_opetopes`` (which skips profiles
+and prunes partial stages) must stream the same canonical forms, in the
+same order, as ``enumerate_pops`` filtered by ``is_positive_opetope``.
+Exits 1 on any mismatch.  Takes about a minute per budget on one core:
+
+    python3 scripts/check_opetope_stream.py
+"""
+
+import pathlib
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from opetope_kit import (  # noqa: E402
+    EnumerationBudget,
+    canonical_form,
+    enumerate_pops,
+    enumerate_positive_opetopes,
+    is_positive_opetope,
+)
+
+BUDGETS = ((3, 9), (4, 9))
+
+
+def main() -> int:
+    failed = False
+    for max_dim, max_faces in BUDGETS:
+        budget = EnumerationBudget(max_dim, max_faces)
+        start = time.perf_counter()
+        pruned = [canonical_form(c) for c in enumerate_positive_opetopes(budget)]
+        middle = time.perf_counter()
+        classes = list(enumerate_pops(budget))
+        filtered = [canonical_form(c) for c in classes if is_positive_opetope(c).passed]
+        end = time.perf_counter()
+        verdict = "ok" if pruned == filtered else "MISMATCH"
+        failed |= pruned != filtered
+        print(f"({max_dim}, {max_faces}): pruned {len(pruned)} opetopes in "
+              f"{middle - start:.1f} s; filtered {len(filtered)} of {len(classes)} "
+              f"classes in {end - middle:.1f} s: {verdict}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,9 +20,9 @@ are immutable and safe to share between threads.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping
 
 from .errors import (
     DimensionOutOfRange,
@@ -114,15 +114,25 @@ class _Faces(dict):
         raise UnknownFaceReference(f"unknown face {name!r}")
 
 
-def _validate(faces, target, sources):
-    """Check the base axioms; return (violations, dims, target, sources).
+def _validate(faces, target, sources, below=None):
+    """Check the base axioms; return (violations, dims, target, sources, new).
 
     Inputs are read in the order given: the report is sorted at the end.
+    ``below``, when given, is a built complex that the faces are added to:
+    the returned maps cover both, and only the ``new`` faces are checked.
+    That suffices, since each axiom on a face reads only the dimensions of
+    the face and of the faces it cites, and ``below``'s faces pass already.
     """
     bad: list[Violation] = []
     items = list(faces.items()) if isinstance(faces, Mapping) else [tuple(i) for i in faces]
 
-    dims: _Faces = _Faces()
+    if below is None:
+        dims: _Faces = _Faces()
+        tgt: dict[str, str] = {}
+        src: dict[str, frozenset[str]] = {}
+    else:
+        dims, tgt, src = _Faces(below._dims), dict(below._target), dict(below._sources)
+    new: list[str] = []
     for entry in items:
         if len(entry) != 2:
             bad.append(Violation("InvalidFaceName", (), f"malformed face entry {entry!r}"))
@@ -138,11 +148,11 @@ def _validate(faces, target, sources):
             bad.append(Violation("InvalidDimension", (name,), f"face {name} has dimension {dim!r}"))
             continue
         dims[name] = dim
+        new.append(name)
 
-    if not items:
+    if not items and below is None:
         bad.append(Violation("EmptyComplex", (), "a complex must contain at least one face"))
 
-    tgt: dict[str, str] = {}
     for x in target:
         t = target[x]
         if x not in dims:
@@ -161,7 +171,6 @@ def _validate(faces, target, sources):
             continue
         tgt[x] = t
 
-    src: dict[str, frozenset[str]] = {}
     for x in sources:
         entries = sources[x]
         if x not in dims:
@@ -189,7 +198,8 @@ def _validate(faces, target, sources):
         if ok:
             src[x] = frozenset(seen)
 
-    for x, d in dims.items():
+    for x in new:
+        d = dims[x]
         if d == 0:
             continue
         has_t = x in tgt
@@ -207,12 +217,12 @@ def _validate(faces, target, sources):
                 "Delta0NotFunctional", (x,),
                 f"dimension-1 face {x} has {len(src[x])} sources"))
 
-    return _sorted_violations(bad), dims, tgt, src
+    return _sorted_violations(bad), dims, tgt, src, new
 
 
 def validate_complex_data(faces, target, sources) -> AxiomReport:
     """Run the base-axiom validation without constructing a complex."""
-    bad, _, _, _ = _validate(faces, target, sources)
+    bad = _validate(faces, target, sources)[0]
     return AxiomReport(bad)
 
 
@@ -223,30 +233,52 @@ class FaceComplex:
     ``target`` maps each dim >= 1 face to its target and ``sources`` to its
     nonempty source set.  Raises :class:`InvalidComplex` when any base
     axiom fails; the exception carries the full report.
+
+    With ``extends``, the arguments describe one new top stratum to stack
+    on that complex: its faces all have dimension ``extends.dimension + 1``
+    and the maps have entries for them only.  The result, and the report
+    when it fails, equal those of the full constructor on the combined
+    data, but only the new faces are validated.
     """
 
     __slots__ = ("_dims", "_strata", "_target", "_sources", "_above")
 
-    def __init__(self, faces, target, sources):
-        bad, dims, tgt, src = _validate(faces, target, sources)
+    def __init__(self, faces, target, sources, *, extends: "FaceComplex | None" = None):
+        if extends is not None and not extends._dims.keys().isdisjoint(chain(target, sources)):
+            raise PreconditionViolation("an extension cannot redeclare a face it extends")
+        bad, dims, tgt, src, new = _validate(faces, target, sources, extends)
         if bad:
             raise InvalidComplex(AxiomReport(bad))
+        if extends is None:
+            strata: dict[int, tuple[str, ...]] = {}
+            above: _Faces = _Faces()
+            cited: tuple[str, ...] = ()
+        else:
+            top = extends.dimension
+            if not {top + 1}.issuperset(map(dims.__getitem__, new)):
+                raise PreconditionViolation(f"an extension adds faces of dimension {top + 1} only")
+            strata, above = dict(extends._strata), _Faces(extends._above)
+            cited = extends._strata[top]
+        # One pass in name order: each stratum comes out sorted, and so do
+        # the cofaces of each face, since they share one dimension and a
+        # face covers another with one sign only (no SignClash).  An
+        # extension only gives cofaces to its old top faces, which had none.
+        layers: dict[int, list[str]] = {}
+        cofaces: dict[str, list[tuple[str, str]]] = {x: [] for x in chain(cited, new)}
+        for x in sorted(new):
+            layers.setdefault(dims[x], []).append(x)
+            if x in tgt:
+                cofaces[tgt[x]].append((x, PLUS))
+                for y in src[x]:
+                    cofaces[y].append((x, MINUS))
+        for k in sorted(layers):
+            strata[k] = tuple(layers[k])
+        above.update(zip(cofaces, map(tuple, cofaces.values())))
         self._dims = dims
         self._target = tgt
         self._sources = src
-        # One pass in name order: each stratum comes out sorted, and so do
-        # the cofaces of each face, since they share one dimension and a
-        # face covers another with one sign only (no SignClash).
-        strata: list[list[str]] = [[] for _ in range(max(dims.values()) + 1)]
-        above: dict[str, list[tuple[str, str]]] = {n: [] for n in dims}
-        for x in sorted(dims):
-            strata[dims[x]].append(x)
-            if x in tgt:
-                above[tgt[x]].append((x, PLUS))
-                for y in src[x]:
-                    above[y].append((x, MINUS))
-        self._strata = {k: tuple(names) for k, names in enumerate(strata)}
-        self._above = _Faces((n, tuple(v)) for n, v in above.items())
+        self._strata = strata
+        self._above = above
 
     # -- basic queries -------------------------------------------------
 

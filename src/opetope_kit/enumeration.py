@@ -5,8 +5,24 @@ are interchangeable, so assignments are drawn as sorted multisets; the
 remaining overcounting (relabellings of lower strata) is removed by
 canonical-form deduplication.  Every stream is therefore exhaustive, free
 of isomorphic repeats, and emitted in a deterministic order with
-canonical face names.  The opetope search prunes a partial stage with the
-checker's own :func:`zpo.settled_violations` for the newest stratum.
+canonical face names.  Each stage is built by stacking one stratum on its
+parent stage (``FaceComplex(..., extends=parent)``), which validates only
+the new stratum.  The opetope search prunes a stage with the checker's own
+:func:`zpo.settled_violations` for the newest stratum.
+
+The opetope search also skips every stratum-size profile ``(n_0, ..., n_d)``
+unless ``n_d == 1`` and the Euler characteristic ``n_0 - n_1 + n_2 - ...``
+is 1.  A positive opetope has one top face ``x`` of dimension ``d``.  Its
+other faces lie below the sources of ``x`` (call them ``S``) or below its
+target (``T``), and ``S`` meets ``T`` in the boundary of the target.  By
+induction on dimension ``T`` has Euler characteristic 1, and its boundary
+``1 + (-1)**d``.  The face tree of ``x`` builds ``S`` one source at a
+time, each glued to the earlier ones along the faces below the one slot it
+plugs into; each gluing adds 1 - 1, so ``S`` has 1 as well.  In all,
+``1 + 1 - (1 + (-1)**d) + (-1)**d == 1``.  This is a sketch: the gluing
+step rests on the face-tree and sources-partition theorems, and
+``scripts/check_opetope_stream.py`` checks the pruned stream against the
+filtered full one at (3, 9) and (4, 9).
 
 A second, deliberately naive generator walks the full labelled assignment
 space and keeps whatever survives the base validator.  It exists so that
@@ -65,7 +81,8 @@ class _WorkMeter:
         self.used += amount
         if self.used > self.limit:
             raise BudgetTooLarge(
-                f"enumeration exceeded the work limit of {self.limit} candidates; "
+                f"enumeration exceeded the work limit of {self.limit} "
+                f"(finished candidates, plus partial stages in the opetope search); "
                 f"raise {WORK_LIMIT_ENV} to allow more")
 
 
@@ -124,45 +141,33 @@ def _naive_options(below: tuple[str, ...], k: int) -> list[tuple[str, frozenset[
     return sorted(opts, key=lambda ts: (ts[0], sorted(ts[1])))
 
 
-def _assemble(names, profile, chosen) -> FaceComplex:
-    faces: dict[str, int] = {}
-    target: dict[str, str] = {}
-    sources: dict[str, frozenset[str]] = {}
-    for k, n in enumerate(profile):
-        for i in range(n):
-            faces[names[k][i]] = k
-    for k in range(1, len(profile)):
-        for i, (t, srcs) in enumerate(chosen[k]):
-            target[names[k][i]] = t
-            sources[names[k][i]] = srcs
-    return FaceComplex(faces, target, sources)
-
-
 def _candidates(budget: EnumerationBudget, meter: _WorkMeter,
                 opetopes_only: bool) -> Iterator[FaceComplex]:
     for profile in _profiles(budget, meter.limit):
-        if opetopes_only and profile[-1] != 1:
+        # One top face and Euler characteristic 1: see the module docstring.
+        if opetopes_only and (profile[-1] != 1
+                              or sum(profile[0::2]) - sum(profile[1::2]) != 1):
             continue
         names = _stratum_names(profile)
+        layers = [dict.fromkeys(layer, k) for k, layer in enumerate(names)]
+        options = [_options(names[k - 1], k) for k in range(1, len(profile))]
 
-        def fill(k: int, chosen: list) -> Iterator[FaceComplex]:
+        def fill(k: int, stage: FaceComplex) -> Iterator[FaceComplex]:
             if k == len(profile):
                 meter.tick()
-                yield _assemble(names, profile, chosen)
+                yield stage
                 return
-            opts = _options(names[k - 1], k)
-            if not opts:
-                return
-            for combo in itertools.combinations_with_replacement(opts, profile[k]):
-                stage = chosen + [combo]
+            for combo in itertools.combinations_with_replacement(options[k - 1], profile[k]):
                 if opetopes_only:
                     meter.tick()
-                    partial = _assemble(names[:k + 1], profile[:k + 1], stage)
-                    if next(settled_violations(partial, k), None) is not None:
-                        continue
-                yield from fill(k + 1, stage)
+                targets, sources = zip(*combo)
+                extended = FaceComplex(layers[k], dict(zip(names[k], targets)),
+                                       dict(zip(names[k], sources)), extends=stage)
+                if opetopes_only and next(settled_violations(extended, k), None) is not None:
+                    continue
+                yield from fill(k + 1, extended)
 
-        yield from fill(1, [()])
+        yield from fill(1, FaceComplex(layers[0], {}, {}))
 
 
 def _collect(stream: Iterator[FaceComplex],
@@ -192,8 +197,12 @@ def enumerate_positive_opetopes(budget: EnumerationBudget,
     """The positive opetopes within the budget, once per class.
 
     Equivalent to filtering :func:`enumerate_pops` by the positive-opetope
-    check; stratum-wise pruning merely shrinks the search, and the final
-    filter is still the real checker.
+    check.  The search skips profiles whose top stratum is not one face or
+    whose Euler characteristic is not 1 (see the module docstring), builds
+    each stage by extending its parent, and prunes a stage on the
+    violations its newest stratum settles; the final filter is still the
+    real checker.  The work limit counts every partial stage as well as
+    every finished candidate.
     """
     meter = _WorkMeter(resolve_work_limit(work_limit))
     yield from _collect(

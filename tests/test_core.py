@@ -9,6 +9,7 @@ from opetope_kit import (
     FaceComplex,
     InvalidComplex,
     Morphism,
+    PreconditionViolation,
     UnknownFaceReference,
     ZeroDimensionalFace,
     build_complex,
@@ -288,6 +289,60 @@ def test_covers_raise_dimension_by_one(small_pops):
                 assert complex_.dim(y) == complex_.dim(x) - 1
             assert all(complex_.dim(z) <= complex_.dim(x)
                        for z in complex_.downset(x))
+
+
+def _base(kind):
+    if kind == "points":
+        return FaceComplex({"x": 0, "y": 0, "z": 0}, {}, {})
+    return FaceComplex({"x0": 0, "x1": 0, "f1": 1, "h": 1},
+                       {"f1": "x1", "h": "x1"}, {"f1": {"x0"}, "h": {"x0"}})
+
+
+# A new top stratum for a built complex: the axioms it fails, base, face
+# pairs, target, sources.
+NEW_STRATA = {
+    "valid": ((), "edges", [("a", 2), ("b", 2)], {"a": "h", "b": "f1"},
+              {"a": ["f1"], "b": ["h"]}),
+    "grading": (("GradingViolation",), "edges", [("a", 2)], {"a": "x0"}, {"a": ["f1", "x1"]}),
+    "duplicate-new": (("DuplicateFace",), "edges", [("a", 2), ("a", 2)], {"a": "h"},
+                      {"a": ["f1"]}),
+    "duplicate-old": (("DuplicateFace",), "edges", [("f1", 2), ("a", 2)], {"a": "h"},
+                      {"a": ["f1"]}),
+    "unknown": (("UnknownFaceReference",), "edges", [("a", 2)], {"a": "nope"},
+                {"a": ["f1", "zz"], "qq": ["h"]}),
+    "empty-sources": (("EmptySources",), "edges", [("a", 2), ("b", 2)], {"a": "h", "b": "h"},
+                      {"a": []}),
+    "missing-target": (("MissingTarget",), "edges", [("a", 2)], {}, {"a": ["f1"]}),
+    "sign-clash": (("SignClash",), "edges", [("a", 2)], {"a": "h"}, {"a": ["h", "f1"]}),
+    "delta0": (("Delta0NotFunctional",), "points", [("f", 1)], {"f": "z"}, {"f": ["x", "y"]}),
+    "malformed": (("InvalidDimension", "InvalidFaceName"), "points",
+                  [("f", True), ("b d", 1), ("g",)], {}, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEW_STRATA))
+def test_extension_matches_the_full_constructor(case):
+    axioms, kind, pairs, target, sources = NEW_STRATA[case]
+    base = _base(kind)
+    dims, old_target, old_sources = base.to_data()
+    full = ([*dims.items(), *pairs], {**old_target, **target}, {**old_sources, **sources})
+    report = validate_complex_data(*full)
+    assert report.failed_axioms() == axioms
+    if report.passed:
+        assert FaceComplex(pairs, target, sources, extends=base) == FaceComplex(*full)
+        return
+    with pytest.raises(InvalidComplex) as err:
+        FaceComplex(pairs, target, sources, extends=base)
+    assert err.value.report == report
+
+
+def test_extension_preconditions():
+    base = _base("edges")
+    with pytest.raises(PreconditionViolation, match="redeclare"):
+        FaceComplex([("a", 2)], {"a": "h", "f1": "x0"}, {"a": ["f1"]}, extends=base)
+    with pytest.raises(PreconditionViolation, match="dimension 2 only"):
+        FaceComplex([("e", 1)], {"e": "x0"}, {"e": ["x1"]}, extends=base)
+    assert FaceComplex({}, {}, {}, extends=base) == base
 
 
 def test_validate_complex_data_matches_build(two2):

@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from opetope_kit import (
     BudgetTooLarge,
     EnumerationBudget,
+    FaceComplex,
     are_isomorphic,
     arrow,
     canonical_form,
@@ -12,10 +15,15 @@ from opetope_kit import (
     is_positive_opetope,
     naive_enumerate_pops,
     point,
+    three_cell_from_tree,
     three_one,
     two_cell,
 )
+from opetope_kit import enumeration
 from opetope_kit.enumeration import _profiles
+from opetope_kit.iso import complex_from_certificate
+
+from test_equivalence_random import random_tree
 
 
 def test_budget_validation():
@@ -109,8 +117,6 @@ def test_every_stream_member_is_valid_and_within_budget():
         assert complex_.dimension <= 2
         # eager validation means building a copy cannot fail
         dims, target, sources = complex_.to_data()
-        from opetope_kit import FaceComplex
-
         assert FaceComplex(dims, target, sources) == complex_
 
 
@@ -130,3 +136,93 @@ def test_work_limit_env(monkeypatch):
 def test_equivalence_smoke_on_small_budget(small_pops):
     for complex_ in small_pops:
         assert is_dfc(complex_).passed == is_positive_opetope(complex_).passed
+
+
+# SHA-256 over the canonical forms of enumerate_positive_opetopes, one repr
+# per line, computed before the search skipped any profile.  No opetope has
+# 10 faces, so these are also the streams at 9 faces.
+STREAM_SHA256 = {
+    (3, 10): "9811ceb160270fac6de3e6f134d8d193d8e8196406212a4fbb3a8d4ca33c07b6",
+    (4, 10): "9b704a370f58066ca248ad98aa1868aaf0e14ac2c7ac9c37cf809cb96d12c7e1",
+}
+
+
+def _stream_digest(certificates):
+    digest = hashlib.sha256()
+    for certificate in certificates:
+        digest.update(repr(certificate).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_opetope_streams_are_pinned():
+    for budget, count in (((3, 10), 8), ((4, 10), 9)):
+        stream = [canonical_form(c)
+                  for c in enumerate_positive_opetopes(EnumerationBudget(*budget))]
+        assert len(stream) == count
+        assert _stream_digest(stream) == STREAM_SHA256[budget], budget
+
+
+# The canonical forms of the (4, 9) stream, which is also the (4, 10) one.
+OPETOPES_4_9 = [
+    ((1,), ()),
+    ((2, 1), (((1, (0,)),),)),
+    ((2, 2, 1), (((1, (0,)), (1, (0,))), ((3, (2,)),))),
+    ((3, 3, 1), (((1, (0,)), (2, (1,)), (2, (0,))), ((5, (3, 4)),))),
+    ((2, 2, 2, 1), (((1, (0,)), (1, (0,))), ((3, (2,)), (3, (2,))), ((5, (4,)),))),
+    ((4, 4, 1), (((1, (0,)), (2, (1,)), (3, (2,)), (3, (0,))), ((7, (4, 5, 6)),))),
+    ((2, 3, 3, 1), (((1, (0,)), (1, (0,)), (1, (0,))), ((3, (2,)), (4, (3,)), (4, (2,))),
+                    ((7, (5, 6)),))),
+    ((3, 3, 2, 1), (((1, (0,)), (2, (1,)), (2, (0,))), ((5, (3, 4)), (5, (3, 4))), ((7, (6,)),))),
+    ((2, 2, 2, 2, 1), (((1, (0,)), (1, (0,))), ((3, (2,)), (3, (2,))), ((5, (4,)), (5, (4,))),
+                       ((7, (6,)),))),
+]
+
+
+def _euler_characteristic(complex_):
+    return sum((-1) ** complex_.dim(x) for x in complex_.faces())
+
+
+def test_known_opetopes_have_euler_characteristic_one(enumerated):
+    """The evidence for the search's profile rule, gathered without the
+    search: the (3, 8) census filtered by both suites, the pinned (4, 9)
+    stream, tree-built 3-cells and the two_cell ladder."""
+    census = [c for c, dfc, zpo in enumerated if dfc.passed and zpo.passed]
+    assert len(census) == 5
+    assert _stream_digest(OPETOPES_4_9) == STREAM_SHA256[(4, 10)]
+    stream = [complex_from_certificate(c) for c in OPETOPES_4_9]
+    trees = [three_cell_from_tree(random_tree(seed)) for seed in range(60)]
+    ladder = [two_cell(n) for n in range(1, 51)]
+    for complex_ in [*census, *stream, *trees, *ladder]:
+        assert _euler_characteristic(complex_) == 1
+        assert len(complex_.stratum(complex_.dimension)) == 1
+
+
+def _built_stages(monkeypatch, run):
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append((FaceComplex(*args, **kwargs), "extends" in kwargs))
+        return built[-1][0]
+
+    monkeypatch.setattr(enumeration, "FaceComplex", recording)
+    run()
+    return built
+
+
+@pytest.mark.parametrize("run", [
+    lambda: list(enumerate_positive_opetopes(EnumerationBudget(4, 8))),
+    lambda: list(enumerate_pops(EnumerationBudget(3, 7))),
+], ids=["opetopes-4-8", "pops-3-7"])
+def test_extended_stages_equal_their_full_rebuild(monkeypatch, run):
+    built = _built_stages(monkeypatch, run)
+    assert sum(extended for _, extended in built) > len(built) // 2
+    for stage, _ in built:
+        full = FaceComplex(*stage.to_data())
+        assert stage == full
+        assert stage.faces() == full.faces()
+        assert stage.dimension == full.dimension
+        for k in range(-1, full.dimension + 2):
+            assert stage.stratum(k) == full.stratum(k)
+        for x in full.faces():
+            assert stage.cofaces(x) == full.cofaces(x)
+            assert stage.covers(x) == full.covers(x)
