@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Check the pruned opetope search against the unpruned one.
+"""Check the pruned opetope search against the unpruned one, and both
+against the naive recount.
 
 For each budget, ``enumerate_positive_opetopes`` (which skips profiles
 and prunes partial stages) must stream the same canonical forms, in the
 same order, as ``enumerate_pops`` filtered by ``is_positive_opetope``.
-Exits 1 on any mismatch.  Takes about a minute per budget on one core:
+Both share the prefix deduplication, so ``enumerate_pops`` must also
+stream the same canonical forms, in the same order, as
+``naive_enumerate_pops`` at (3, 7).  Exits 1 on any mismatch.  Takes
+under a minute on one core:
 
     python3 scripts/check_opetope_stream.py
 """
@@ -21,9 +25,11 @@ from opetope_kit import (  # noqa: E402
     enumerate_pops,
     enumerate_positive_opetopes,
     is_positive_opetope,
+    naive_enumerate_pops,
 )
 
 BUDGETS = ((3, 9), (4, 9))
+NAIVE_BUDGET = (3, 7)
 
 
 def main() -> int:
@@ -41,6 +47,16 @@ def main() -> int:
         print(f"({max_dim}, {max_faces}): pruned {len(pruned)} opetopes in "
               f"{middle - start:.1f} s; filtered {len(filtered)} of {len(classes)} "
               f"classes in {end - middle:.1f} s: {verdict}", flush=True)
+    budget = EnumerationBudget(*NAIVE_BUDGET)
+    start = time.perf_counter()
+    clever = [canonical_form(c) for c in enumerate_pops(budget)]
+    middle = time.perf_counter()
+    naive = [canonical_form(c) for c in naive_enumerate_pops(budget)]
+    end = time.perf_counter()
+    verdict = "ok" if clever == naive else "MISMATCH"
+    failed |= clever != naive
+    print(f"{NAIVE_BUDGET}: enumerated {len(clever)} classes in {middle - start:.1f} s; "
+          f"naive recount {len(naive)} in {end - middle:.1f} s: {verdict}", flush=True)
     return 1 if failed else 0
 
 

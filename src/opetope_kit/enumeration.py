@@ -1,14 +1,18 @@
 """Exhaustive enumeration of small complexes up to isomorphism.
 
-Candidates are produced stratum by stratum.  Within one stratum the faces
-are interchangeable, so assignments are drawn as sorted multisets; the
-remaining overcounting (relabellings of lower strata) is removed by
-canonical-form deduplication.  Every stream is therefore exhaustive, free
-of isomorphic repeats, and emitted in a deterministic order with
-canonical face names.  Each stage is built by stacking one stratum on its
-parent stage (``FaceComplex(..., extends=parent)``), which validates only
-the new stratum.  The opetope search prunes a stage with the checker's own
-:func:`zpo.settled_violations` for the newest stratum.
+Classes are produced stratum by stratum over class representatives
+(McKay's canonical construction path): the classes of a profile
+``(n_0, ..., n_k)`` are the extensions of one representative per class of
+``(n_0, ..., n_{k-1})``, kept once per canonical form.  Within the new
+stratum the faces are interchangeable, so assignments are drawn as sorted
+multisets.  An isomorphism preserves dimension and so restricts to the
+prefixes: extensions of different representatives are never isomorphic.
+Every stream is therefore exhaustive, free of isomorphic repeats, and
+emitted in a deterministic order with canonical face names.  Each stage
+stacks one stratum on its parent (``FaceComplex(..., extends=parent)``),
+which validates only the new stratum.  The opetope search prunes a stage
+with the checker's own :func:`zpo.settled_violations` for the newest
+stratum, which is invariant under isomorphism.
 
 The opetope search also skips every stratum-size profile ``(n_0, ..., n_d)``
 unless ``n_d == 1`` and the Euler characteristic ``n_0 - n_1 + n_2 - ...``
@@ -39,7 +43,7 @@ from typing import Iterator, Optional
 
 from .core import FaceComplex, validate_complex_data
 from .errors import BudgetTooLarge
-from .iso import canonical_face_name, canonical_form, complex_from_certificate
+from .iso import Certificate, canonical_face_name, canonical_form, complex_from_certificate
 from .zpo import is_positive_opetope, settled_violations
 
 WORK_LIMIT_ENV = "OPETOPE_KIT_WORK_LIMIT"
@@ -82,7 +86,7 @@ class _WorkMeter:
         if self.used > self.limit:
             raise BudgetTooLarge(
                 f"enumeration exceeded the work limit of {self.limit} "
-                f"(finished candidates, plus partial stages in the opetope search); "
+                f"(stages built; labelled assignments in the naive recount); "
                 f"raise {WORK_LIMIT_ENV} to allow more")
 
 
@@ -141,42 +145,48 @@ def _naive_options(below: tuple[str, ...], k: int) -> list[tuple[str, frozenset[
     return sorted(opts, key=lambda ts: (ts[0], sorted(ts[1])))
 
 
-def _candidates(budget: EnumerationBudget, meter: _WorkMeter,
-                opetopes_only: bool) -> Iterator[FaceComplex]:
+def _classes(budget: EnumerationBudget, meter: _WorkMeter,
+             opetopes_only: bool) -> Iterator[dict[Certificate, FaceComplex]]:
+    """Each profile's classes, as a map from canonical form to representative.
+
+    ``path[k]`` holds them for the current profile's first ``k + 1`` strata
+    and is dropped once the walk leaves that prefix.  Only extensions of one
+    parent can share a canonical form (see the module docstring).
+    """
+    path: list[dict[Certificate, FaceComplex]] = []
+    last: tuple[int, ...] = ()
     for profile in _profiles(budget, meter.limit):
         # One top face and Euler characteristic 1: see the module docstring.
         if opetopes_only and (profile[-1] != 1
                               or sum(profile[0::2]) - sum(profile[1::2]) != 1):
             continue
-        names = _stratum_names(profile)
-        layers = [dict.fromkeys(layer, k) for k, layer in enumerate(names)]
-        options = [_options(names[k - 1], k) for k in range(1, len(profile))]
-
-        def fill(k: int, stage: FaceComplex) -> Iterator[FaceComplex]:
-            if k == len(profile):
+        while profile[:len(path)] != last[:len(path)]:
+            path.pop()
+        last, names = profile, _stratum_names(profile)
+        for k in range(len(path), len(profile)):
+            layer = dict.fromkeys(names[k], k)
+            if k == 0:
                 meter.tick()
-                yield stage
-                return
-            for combo in itertools.combinations_with_replacement(options[k - 1], profile[k]):
-                if opetopes_only:
+                base = FaceComplex(layer, {}, {})
+                path.append({canonical_form(base): base})
+                continue
+            options, classes = _options(names[k - 1], k), {}
+            for parent in path[-1].values():
+                for combo in itertools.combinations_with_replacement(options, profile[k]):
                     meter.tick()
-                targets, sources = zip(*combo)
-                extended = FaceComplex(layers[k], dict(zip(names[k], targets)),
-                                       dict(zip(names[k], sources)), extends=stage)
-                if opetopes_only and next(settled_violations(extended, k), None) is not None:
-                    continue
-                yield from fill(k + 1, extended)
+                    targets, sources = zip(*combo)
+                    stage = FaceComplex(layer, dict(zip(names[k], targets)),
+                                        dict(zip(names[k], sources)), extends=parent)
+                    if opetopes_only and next(settled_violations(stage, k), None) is not None:
+                        continue
+                    classes.setdefault(canonical_form(stage), stage)
+            path.append(classes)
+        yield path[-1]
 
-        yield from fill(1, FaceComplex(layers[0], {}, {}))
 
-
-def _collect(stream: Iterator[FaceComplex],
-             keep=None) -> list[FaceComplex]:
-    certs = set()
-    for candidate in stream:
-        if keep is not None and not keep(candidate):
-            continue
-        certs.add(canonical_form(candidate))
+def _collect(stream: Iterator[dict[Certificate, FaceComplex]], keep=None) -> list[FaceComplex]:
+    certs = [cert for classes in stream for cert, stage in classes.items()
+             if keep is None or keep(stage)]
     ordered = sorted(certs, key=lambda c: (sum(c[0]), len(c[0]), c))
     return [complex_from_certificate(c) for c in ordered]
 
@@ -189,7 +199,7 @@ def enumerate_pops(budget: EnumerationBudget,
     is deterministic regardless of generation details.
     """
     meter = _WorkMeter(resolve_work_limit(work_limit))
-    yield from _collect(_candidates(budget, meter, opetopes_only=False))
+    yield from _collect(_classes(budget, meter, opetopes_only=False))
 
 
 def enumerate_positive_opetopes(budget: EnumerationBudget,
@@ -198,15 +208,14 @@ def enumerate_positive_opetopes(budget: EnumerationBudget,
 
     Equivalent to filtering :func:`enumerate_pops` by the positive-opetope
     check.  The search skips profiles whose top stratum is not one face or
-    whose Euler characteristic is not 1 (see the module docstring), builds
-    each stage by extending its parent, and prunes a stage on the
-    violations its newest stratum settles; the final filter is still the
-    real checker.  The work limit counts every partial stage as well as
-    every finished candidate.
+    whose Euler characteristic is not 1 (see the module docstring),
+    extends one representative per class of each prefix, and prunes a
+    stage on the violations its newest stratum settles; the final filter
+    is still the real checker.
     """
     meter = _WorkMeter(resolve_work_limit(work_limit))
     yield from _collect(
-        _candidates(budget, meter, opetopes_only=True),
+        _classes(budget, meter, opetopes_only=True),
         keep=lambda c: is_positive_opetope(c).passed)
 
 

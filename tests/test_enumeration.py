@@ -125,6 +125,14 @@ def test_work_limit_guardrail():
         list(enumerate_pops(EnumerationBudget(3, 8), work_limit=50))
 
 
+def test_work_limit_counts_stages_built():
+    # 6 dimension-0 bases plus 245 extensions of class representatives
+    budget = EnumerationBudget(2, 6)
+    assert len(list(enumerate_pops(budget, work_limit=251))) == 57
+    with pytest.raises(BudgetTooLarge, match="stages built"):
+        list(enumerate_pops(budget, work_limit=250))
+
+
 def test_work_limit_env(monkeypatch):
     monkeypatch.setenv("OPETOPE_KIT_WORK_LIMIT", "10")
     with pytest.raises(BudgetTooLarge):
@@ -160,6 +168,19 @@ def test_opetope_streams_are_pinned():
                   for c in enumerate_positive_opetopes(EnumerationBudget(*budget))]
         assert len(stream) == count
         assert _stream_digest(stream) == STREAM_SHA256[budget], budget
+
+
+# SHA-256 in the same format over the enumerate_pops streams, computed
+# while every candidate was still canonicalised and deduplicated globally.
+CENSUS_SHA256 = {
+    (2, 6): "cc6c40be1c5a6380ab978897022e3905265f5901b7a4ffb8638af92d88d9ee08",
+    (3, 8): "92a83e67a9cbbdf71b746212175eaf3ff5dade1c3673d47317201b38f8990e7c",
+}
+
+
+def test_census_streams_are_pinned(small_pops, enumerated):
+    for budget, stream in (((2, 6), small_pops), ((3, 8), [c for c, _, _ in enumerated])):
+        assert _stream_digest(canonical_form(c) for c in stream) == CENSUS_SHA256[budget], budget
 
 
 # The canonical forms of the (4, 9) stream, which is also the (4, 10) one.
