@@ -1,100 +1,244 @@
 """Canonical forms and isomorphism testing for small complexes.
 
-The canonical form of a complex is the lexicographically least encoding of
-its strata and covering data over all dimension-preserving relabellings.
-It is found by iterated colour refinement (on dimension, boundary colours
-and coboundary colours) followed by branching over the members of the
-first unresolved colour class; literally interchangeable faces are
-branched only once.  Instance sizes here are tiny, so clarity wins over
-asymptotics.
+The canonical form of a complex is the least encoding of its strata and
+covering data among the labellings that colour refinement reaches, with
+branching over the members of the first unresolved colour class.
+
+Each call numbers the faces once, in ``faces()`` order, and every step
+reads only that integer index: per face the target position, the sorted
+source positions and the plus and minus coface positions.  A colour is the
+first position of its class in the colour order, so a discrete colouring
+is the labelling itself.
+
+The refinement keeps the synchronous round rule: a face's new colour ranks
+(old colour, target colour, sorted source colours, sorted plus- and
+minus-coface colours).  Since the old colour leads, each class splits on
+its own, in place, by the rest of that key, and a class that does not
+split keeps its colour number.  When a class splits, every part but one
+largest part is marked.  A face next to no marked face sees each split
+neighbour class only through its unmarked part, so its key changes from
+the last round's by one fixed renaming of colours; the faces of its class
+that are next to no marked face therefore still share one key, and one of
+them stands for all.  So a round computes keys only for the faces next to
+a marked face, plus one face per class for the rest, and a class with no
+face next to a marked one is not visited.  The rounds stop as soon as
+nothing splits or every face is alone.  Individualising a face splits its
+class into [that face] followed by the rest and marks that face.  This
+reproduces the colours of recomputing every key in every round, in fewer
+steps: a chain of n faces needs about n/2 rounds, and each round now keys
+a few faces instead of all of them.
+
+The search keeps the first leaf in depth-first order whose certificate is
+least.  A later leaf with the same certificate gives an automorphism: the
+face labelled ``i`` at the kept leaf goes to the face labelled ``i`` here.
+It fixes the path the two leaves share and maps the kept leaf's child at
+the end of that path onto this leaf's, so the rest of this child's subtree
+is an image of one already searched and the search returns to that node.
+A child is also skipped when an automorphism found so far that fixes the
+path to it maps an explored sibling onto it, or when it is literally
+interchangeable with one (equal target, sources and cofaces).  Each
+skipped subtree holds no leaf that beats, or ties earlier than, the kept
+one, so the kept leaf is the one a full search would keep.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .core import MINUS, PLUS, FaceComplex
+from .core import PLUS, FaceComplex
 
 Certificate = tuple
 
 
-def _refine(complex_: FaceComplex, colors: dict[str, int]) -> dict[str, int]:
-    """Stable colour refinement; colour order refines the previous one."""
-    faces = complex_.faces()
-    ncolors = len(set(colors.values()))
-    while True:
-        sigs = {}
-        for x in faces:
-            if complex_.dim(x) >= 1:
-                down = (colors[complex_.gamma(x)],
-                        tuple(sorted(colors[y] for y in complex_.delta(x))))
-            else:
-                down = (-1, ())
+class _Index:
+    """The complex with its faces numbered in ``faces()`` order.
+
+    A point's target is the extra position ``len(faces)``, whose colour is
+    always -1, so every face has the same key shape.
+    """
+
+    __slots__ = ("names", "offsets", "target", "sources", "plus", "minus", "around")
+
+    def __init__(self, complex_: FaceComplex):
+        self.names = names = complex_.faces()
+        n = len(names)
+        position = {x: i for i, x in enumerate(names)}
+        self.offsets = offsets = [0]
+        for k in range(complex_.dimension + 1):
+            offsets.append(offsets[-1] + len(complex_.stratum(k)))
+        points = offsets[1]
+        self.target = [n] * points
+        self.sources = [()] * points
+        for x in names[points:]:
+            self.target.append(position[complex_.gamma(x)])
+            self.sources.append(tuple(sorted([position[y] for y in complex_.delta(x)])))
+        self.plus, self.minus = [], []
+        for x in names:
             ups = complex_.cofaces(x)
-            up_plus = tuple(sorted(colors[w] for w, s in ups if s == PLUS))
-            up_minus = tuple(sorted(colors[w] for w, s in ups if s == MINUS))
-            sigs[x] = (colors[x], down, up_plus, up_minus)
-        ranking = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
-        refined = {x: ranking[sigs[x]] for x in faces}
-        nrefined = len(set(refined.values()))
-        if nrefined == ncolors:
-            return refined
-        colors, ncolors = refined, nrefined
+            self.plus.append(tuple([position[w] for w, sign in ups if sign == PLUS]))
+            self.minus.append(tuple([position[w] for w, sign in ups if sign != PLUS]))
+        # Every face adjacent to each face; a point's stand-in target is not.
+        self.around = [self.sources[x] + self.plus[x] + self.minus[x] for x in range(n)]
+        for x in range(points, n):
+            self.around[x] += (self.target[x],)
+
+    def initial(self) -> tuple[list[int], dict[int, list[int]]]:
+        """Faces coloured by dimension, and the classes by first position."""
+        colours = [-1] * (len(self.names) + 1)
+        classes = {}
+        for first, stop in zip(self.offsets, self.offsets[1:]):
+            classes[first] = list(range(first, stop))
+            colours[first:stop] = [first] * (stop - first)
+        return colours, classes
+
+    def swap_key(self, x: int):
+        """Faces with equal keys are interchangeable by an automorphism."""
+        return (self.target[x], self.sources[x], self.plus[x], self.minus[x])
+
+    def certificate(self, labels: list[int]) -> Certificate:
+        n, offsets = len(self.names), self.offsets
+        by_label = [0] * n
+        for x in range(n):
+            by_label[labels[x]] = x
+        profile = tuple(b - a for a, b in zip(offsets, offsets[1:]))
+        rows = []
+        for k in range(1, len(profile)):
+            rows.append(tuple(
+                (labels[self.target[x]], tuple(sorted([labels[y] for y in self.sources[x]])))
+                for x in by_label[offsets[k]:offsets[k + 1]]))
+        return (profile, tuple(rows))
 
 
-def _individualize(complex_: FaceComplex, colors: dict[str, int], chosen: str) -> dict[str, int]:
-    marked = {x: (c, 1 if x != chosen else 0) for x, c in colors.items()}
-    ranking = {m: i for i, m in enumerate(sorted(set(marked.values())))}
-    return _refine(complex_, {x: ranking[m] for x, m in marked.items()})
+def _refine(index: _Index, colours: list[int], classes: dict[int, list[int]],
+            changed) -> None:
+    """Refine in place until stable, starting from the faces next to the
+    ``changed`` ones; colour order refines the previous one.  See the
+    module docstring for why the faces far from a change need one key."""
+    target, sources, plus, minus, around = (
+        index.target, index.sources, index.plus, index.minus, index.around)
+    n = len(index.names)
+    while changed and len(classes) < n:
+        near = {y for x in changed for y in around[x]}
+        splits = []
+        for first in {colours[y] for y in near}:
+            members = classes[first]
+            if len(members) == 1:
+                continue
+            parts: dict[tuple, list[int]] = {}
+            rest = None
+            for x in members:
+                if rest is not None and x not in near:
+                    parts[rest].append(x)
+                    continue
+                down, up, low = sources[x], plus[x], minus[x]
+                k = (colours[target[x]],
+                     tuple(sorted([colours[y] for y in down])) if down else (),
+                     tuple(sorted([colours[w] for w in up])) if up else (),
+                     tuple(sorted([colours[w] for w in low])) if low else ())
+                parts.setdefault(k, []).append(x)
+                if x not in near:
+                    rest = k
+            if len(parts) > 1:
+                splits.append((first, [parts[k] for k in sorted(parts)]))
+        changed = []
+        for first, parts in splits:
+            largest = max(parts, key=len)
+            for part in parts:
+                classes[first] = part
+                for x in part:
+                    colours[x] = first
+                first += len(part)
+                if part is not largest:
+                    changed.extend(part)
 
 
-def _swap_key(complex_: FaceComplex, x: str):
-    """Faces with equal keys are interchangeable by an automorphism."""
-    if complex_.dim(x) >= 1:
-        down = (complex_.gamma(x), complex_.delta(x))
-    else:
-        down = None
-    return (down, complex_.cofaces(x))
+def _individualize(index: _Index, colours: list[int], classes: dict[int, list[int]],
+                   first: int, chosen: int) -> tuple[list[int], dict[int, list[int]]]:
+    """Split class ``first`` into [chosen] followed by the rest, and refine."""
+    colours, classes = colours[:], dict(classes)
+    members = classes[first]
+    rest = [x for x in members if x != chosen]
+    classes[first], classes[first + 1] = [chosen], rest
+    for x in rest:
+        colours[x] = first + 1
+    _refine(index, colours, classes, [chosen])
+    return colours, classes
 
 
-def _certificate(complex_: FaceComplex, labels: dict[str, int]) -> Certificate:
-    profile = tuple(len(complex_.stratum(k)) for k in range(complex_.dimension + 1))
-    rows = []
-    for k in range(1, complex_.dimension + 1):
-        stratum = sorted(complex_.stratum(k), key=labels.__getitem__)
-        rows.append(tuple(
-            (labels[complex_.gamma(x)],
-             tuple(sorted(labels[y] for y in complex_.delta(x))))
-            for x in stratum))
-    return (profile, tuple(rows))
+class _Search:
+    """Depth-first search for the first leaf with the least certificate."""
 
+    def __init__(self, index: _Index):
+        self.index = index
+        self.best: Optional[tuple[Certificate, list[int]]] = None
+        self.best_path: list[int] = []
+        self.automorphisms: list[list[int]] = []
+        self.path: list[int] = []
 
-def _search(complex_: FaceComplex, colors: dict[str, int]):
-    cells: dict[int, list[str]] = {}
-    for x in sorted(colors):
-        cells.setdefault(colors[x], []).append(x)
-    ordered = [cells[c] for c in sorted(cells)]
-    target_cell = next((cell for cell in ordered if len(cell) > 1), None)
-    if target_cell is None:
-        labels = {x: colors[x] for x in colors}
-        return _certificate(complex_, labels), labels
-    best = None
-    seen_keys = set()
-    for x in target_cell:
-        key = _swap_key(complex_, x)
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        result = _search(complex_, _individualize(complex_, colors, x))
-        if best is None or result[0] < best[0]:
-            best = result
-    return best
+    def leaf(self, colours: list[int]) -> Optional[int]:
+        """Keep or compare one leaf; after an automorphism, return the depth
+        of the deepest node the kept leaf shares with this one."""
+        cert = self.index.certificate(colours)
+        if self.best is None or cert < self.best[0]:
+            self.best, self.best_path = (cert, colours), self.path[:]
+            return None
+        if cert != self.best[0]:
+            return None
+        at = [0] * len(self.index.names)
+        for x, label in enumerate(colours[:-1]):
+            at[label] = x
+        self.automorphisms.append([at[label] for label in self.best[1][:-1]])
+        depth = 0
+        while self.path[depth] == self.best_path[depth]:
+            depth += 1
+        return depth
+
+    def explored_orbit(self, explored: list[int]) -> set[int]:
+        """The images of ``explored`` under the automorphisms found so far
+        that fix the current path pointwise."""
+        path = self.path
+        generators = [g for g in self.automorphisms if all(g[p] == p for p in path)]
+        orbit, todo = set(explored), list(explored)
+        while todo:
+            x = todo.pop()
+            for g in generators:
+                if g[x] not in orbit:
+                    orbit.add(g[x])
+                    todo.append(g[x])
+        return orbit
+
+    def run(self, colours: list[int], classes: dict[int, list[int]]) -> Optional[int]:
+        """Search below the current path; a returned depth above it means
+        the rest of this subtree is an image of one already searched."""
+        if len(classes) == len(self.index.names):
+            return self.leaf(colours)
+        first = min(c for c, members in classes.items() if len(members) > 1)
+        members = classes[first]
+        seen_keys = set()
+        explored: list[int] = []
+        for x in members:
+            key = self.index.swap_key(x)
+            if key in seen_keys or (self.automorphisms and x in self.explored_orbit(explored)):
+                continue
+            seen_keys.add(key)
+            explored.append(x)
+            self.path.append(x)
+            back = self.run(*_individualize(self.index, colours, classes, first, x))
+            self.path.pop()
+            if back is not None and back < len(self.path):
+                return back
+        return None
 
 
 def canonical_labeling(complex_: FaceComplex) -> tuple[Certificate, dict[str, int]]:
     """The least certificate together with one labelling realizing it."""
-    initial = {x: complex_.dim(x) for x in complex_.faces()}
-    return _search(complex_, _refine(complex_, initial))
+    index = _Index(complex_)
+    colours, classes = index.initial()
+    _refine(index, colours, classes, range(len(index.names)))
+    search = _Search(index)
+    search.run(colours, classes)
+    cert, labels = search.best
+    return cert, dict(zip(index.names, labels))
 
 
 def canonical_form(complex_: FaceComplex) -> Certificate:

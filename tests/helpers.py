@@ -8,6 +8,7 @@ something independent to agree with.
 from __future__ import annotations
 
 import itertools
+import random
 
 from opetope_kit import FaceComplex
 from opetope_kit.core import MINUS, PLUS, opposite
@@ -168,3 +169,66 @@ def all_relabelings(complex_: FaceComplex):
         for names, perm in zip(strata, combo):
             mapping.update({old: f"r_{new}" for old, new in zip(names, perm)})
         yield mapping
+
+
+def disjoint_arrows(m: int) -> FaceComplex:
+    """``m`` arrows ``s_i -> t_i`` with no shared point: every permutation
+    of the arrows is an automorphism."""
+    faces = {}
+    target = {}
+    sources = {}
+    for i in range(m):
+        faces.update({f"s{i:02d}": 0, f"t{i:02d}": 0, f"a{i:02d}": 1})
+        target[f"a{i:02d}"] = f"t{i:02d}"
+        sources[f"a{i:02d}"] = [f"s{i:02d}"]
+    return FaceComplex(faces, target, sources)
+
+
+def seeded_relabel(complex_: FaceComplex, seed: int) -> FaceComplex:
+    """The complex with its faces renamed in a seeded random order."""
+    names = list(complex_.faces())
+    random.Random(seed).shuffle(names)
+    return complex_.relabel({old: f"r{i}" for i, old in enumerate(names)})
+
+
+def brute_force_isomorphic(left: FaceComplex, right: FaceComplex) -> bool:
+    """Whether some dimension-preserving bijection carries targets to
+    targets and source sets onto source sets, by plain backtracking over
+    the faces of ``left`` in ``faces()`` order (lower dimensions first)."""
+    if len(left) != len(right) or left.dimension != right.dimension:
+        return False
+    order = left.faces()
+    mapping: dict[str, str] = {}
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        x = order[i]
+        for y in right.stratum(left.dim(x)):
+            if y in mapping.values():
+                continue
+            if left.dim(x) >= 1 and (
+                    mapping[left.gamma(x)] != right.gamma(y)
+                    or {mapping[s] for s in left.delta(x)} != right.delta(y)):
+                continue
+            mapping[x] = y
+            if extend(i + 1):
+                return True
+            del mapping[x]
+        return False
+
+    return extend(0)
+
+
+def arrow_cycles(*lengths: int) -> FaceComplex:
+    """Disjoint directed cycles of arrows, one per length (each at least
+    2).  Colour refinement cannot tell one cycle length from another."""
+    faces = {}
+    target = {}
+    sources = {}
+    for c, length in enumerate(lengths):
+        for i in range(length):
+            faces.update({f"p{c}_{i:02d}": 0, f"e{c}_{i:02d}": 1})
+            target[f"e{c}_{i:02d}"] = f"p{c}_{(i + 1) % length:02d}"
+            sources[f"e{c}_{i:02d}"] = [f"p{c}_{i:02d}"]
+    return FaceComplex(faces, target, sources)

@@ -1,15 +1,34 @@
+import hashlib
+import random
+
 from opetope_kit import (
+    EnumerationBudget,
     FaceComplex,
     are_isomorphic,
+    build_complex,
     canonical_complex,
     canonical_form,
+    corpus_fixtures,
+    enumerate_pops,
+    enumeration,
+    iso,
+    single_edit_mutations,
+    three_cell_from_tree,
     two_cell,
     validate_morphism,
 )
 from opetope_kit.core import Morphism
-from opetope_kit.iso import complex_from_certificate
+from opetope_kit.iso import canonical_labeling, complex_from_certificate
 
-from helpers import all_relabelings
+from helpers import (
+    all_relabelings,
+    arrow_cycles,
+    brute_force_isomorphic,
+    disjoint_arrows,
+    seeded_relabel,
+)
+from test_enumeration import OPETOPES_4_9
+from test_equivalence_random import random_tree
 
 
 def test_renamed_complexes_are_isomorphic(two2):
@@ -81,3 +100,118 @@ def test_interchangeable_faces_fast_path():
     assert cert[0] == (8,)
     renamed = dust.relabel({f"p{i}": f"q{7 - i}" for i in range(8)})
     assert canonical_form(renamed) == cert
+
+
+def _canonicalised_stages(monkeypatch, budget):
+    """Every stage the enumerator canonicalises, in call order."""
+    stages = []
+
+    def recording(complex_):
+        stages.append(complex_)
+        return canonical_form(complex_)
+
+    monkeypatch.setattr(enumeration, "canonical_form", recording)
+    list(enumerate_pops(budget))
+    monkeypatch.undo()
+    return stages
+
+
+# SHA-256 over canonical_labeling (the certificate and the sorted labels,
+# one repr per line), computed while the refinement still recomputed every
+# face's signature in every round and the search pruned only literally
+# interchangeable faces.
+LABELLING_SHA256 = "a4c5ec5d8e0e30dbeb0a89845caae24a9c887fac89f8e88142dc382c18eb9820"
+
+
+def test_canonical_labellings_are_pinned(monkeypatch):
+    stages = _canonicalised_stages(monkeypatch, EnumerationBudget(3, 7))
+    assert len(stages) == 1295
+    rng = random.Random(2014)
+    relabelled = [seeded_relabel(c, rng.randrange(10**6)) for c in stages[::7]]
+    trees = [three_cell_from_tree(random_tree(seed)) for seed in range(20)]
+    complexes = [*stages, *relabelled, *corpus_fixtures().values(),
+                 *(two_cell(n) for n in range(1, 61)), *trees,
+                 *(disjoint_arrows(m) for m in range(1, 7))]
+    digest = hashlib.sha256()
+    for complex_ in complexes:
+        cert, labels = canonical_labeling(complex_)
+        digest.update(repr((cert, sorted(labels.items()))).encode() + b"\n")
+    assert digest.hexdigest() == LABELLING_SHA256
+
+
+# The same digest over unions of directed arrow cycles, which colour
+# refinement cannot tell apart, so the search branches between siblings
+# that no automorphism relates.  Computed with the same code as above.
+CYCLES_SHA256 = "4e98c4dceff03f291913f0d7139e7ec3d66647a7f7257cda7e666fb288aa806b"
+
+
+def test_cycle_union_labellings_are_pinned():
+    digest = hashlib.sha256()
+    for lengths in [(2, 2), (3, 3), (2, 4), (3, 3, 6), (6, 6), (4, 4, 4),
+                    (2, 2, 2, 6), (3, 6, 3), (5, 5, 2, 3)]:
+        cycles = arrow_cycles(*lengths)
+        for complex_ in (cycles, *(seeded_relabel(cycles, seed) for seed in range(3))):
+            cert, labels = canonical_labeling(complex_)
+            digest.update(repr((cert, sorted(labels.items()))).encode() + b"\n")
+    assert digest.hexdigest() == CYCLES_SHA256
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_symmetric_complex_search_is_pruned_by_automorphisms(monkeypatch):
+    m = 12
+    arrows = disjoint_arrows(m)
+    leaves = _count_calls(monkeypatch, iso._Search, "leaf")
+    cert = canonical_form(arrows)
+    assert 1 <= len(leaves) <= m * m
+    for seed in range(5):
+        leaves.clear()
+        assert canonical_form(seeded_relabel(arrows, seed)) == cert
+        assert len(leaves) <= m * m
+
+
+def test_colour_refinement_alone_discretises_opetopes(monkeypatch):
+    individualised = _count_calls(monkeypatch, iso, "_individualize")
+    complexes = [*(complex_from_certificate(c) for c in OPETOPES_4_9),
+                 *(three_cell_from_tree(random_tree(seed)) for seed in range(60)),
+                 *(two_cell(n) for n in range(1, 51))]
+    for complex_ in complexes:
+        canonical_labeling(complex_)
+    assert individualised == []
+
+
+def _oracle_pairs(classes):
+    """Equal-profile pairs of distinct classes, each class against a seeded
+    relabelling of itself, and each class against its valid single edits."""
+    for i, left in enumerate(classes):
+        profile = [len(left.stratum(k)) for k in range(left.dimension + 1)]
+        for right in classes[i + 1:]:
+            if [len(right.stratum(k)) for k in range(right.dimension + 1)] == profile:
+                yield left, right
+        yield left, seeded_relabel(left, i)
+        for _, faces, target, sources in single_edit_mutations(left):
+            edited = build_complex(faces, target, sources)
+            if isinstance(edited, FaceComplex):
+                yield left, edited
+
+
+def test_are_isomorphic_agrees_with_brute_force(small_pops):
+    answers = []
+    for left, right in _oracle_pairs(small_pops):
+        witness = are_isomorphic(left, right)
+        answers.append(brute_force_isomorphic(left, right))
+        assert (witness is not None) == answers[-1]
+        if witness is not None:
+            assert validate_morphism(Morphism(left, right, witness)).passed
+    assert answers.count(True) > len(small_pops)
+    assert answers.count(False) > len(small_pops)
