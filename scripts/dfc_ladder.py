@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Print how ``is_dfc`` scales on two families of dendritic cells.
+
+For chain-tree 3-cells of 300 / 600 / 1200 / 2400 nodes (a chain of binary
+nodes, each child plugged into its parent's first slot, so the first point
+is the source of every slot arrow) and for ``two_cell(n)`` with n = 250 /
+500 / 1000 / 2000, it prints the best of three ``is_dfc`` times and the
+adjacency entries ``is_dfc`` reads per face (the summed lengths of what
+``FaceComplex.covers``, ``cofaces`` and ``delta`` return).  A flat
+entries-per-face column means linear work.  Exits 1 only if a cell fails
+``is_dfc``; times are printed, never judged.  Takes a few seconds:
+
+    python3 scripts/dfc_ladder.py
+"""
+
+import pathlib
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from opetope_kit import (  # noqa: E402
+    FaceComplex,
+    RootedTree,
+    is_dfc,
+    three_cell_from_tree,
+    two_cell,
+)
+
+ACCESSORS = ("covers", "cofaces", "delta")
+
+
+def chain_tree_cell(n: int) -> FaceComplex:
+    nodes = [f"n{i:05d}" for i in range(n)]
+    arity = {node: frozenset({f"a{i:05d}", f"b{i:05d}"}) for i, node in enumerate(nodes)}
+    triplets = {(nodes[i], f"a{i:05d}", nodes[i + 1]) for i in range(n - 1)}
+    return three_cell_from_tree(
+        RootedTree(frozenset(nodes), arity, frozenset(triplets), nodes[0]))
+
+
+def entries_read(complex_: FaceComplex) -> int:
+    """The adjacency entries one ``is_dfc`` call reads."""
+    reads = 0
+    originals = {name: getattr(FaceComplex, name) for name in ACCESSORS}
+
+    def counting(method):
+        def wrapped(self, name):
+            nonlocal reads
+            out = method(self, name)
+            reads += len(out)
+            return out
+        return wrapped
+
+    for name, method in originals.items():
+        setattr(FaceComplex, name, counting(method))
+    try:
+        is_dfc(complex_)
+    finally:
+        for name, method in originals.items():
+            setattr(FaceComplex, name, method)
+    return reads
+
+
+def main() -> int:
+    failed = False
+    print(f"{'cell':24} {'faces':>7} {'is_dfc s':>10} {'entries/face':>13}")
+    cells = [(f"chain-tree cell {n}", lambda n=n: chain_tree_cell(n)) for n in (300, 600, 1200, 2400)]
+    cells += [(f"two_cell({n})", lambda n=n: two_cell(n)) for n in (250, 500, 1000, 2000)]
+    for label, build in cells:
+        complex_ = build()
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            report = is_dfc(complex_)
+            seconds.append(time.perf_counter() - start)
+        per_face = entries_read(complex_) / len(complex_)
+        print(f"{label:24} {len(complex_):>7} {min(seconds):>10.4f} {per_face:>13.2f}"
+              + ("" if report.passed else "  FAILS is_dfc"))
+        failed |= not report.passed
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

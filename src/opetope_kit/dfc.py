@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (
-    MINUS,
     PLUS,
     AxiomReport,
     FaceComplex,
@@ -86,8 +85,29 @@ class Lozenge:
 
     @property
     def sign_rule_holds(self) -> bool:
-        a, b, a2, b2 = self.signs
-        return sign_product(a, b) != sign_product(a2, b2)
+        return _sign_rule_holds(self.signs)
+
+
+def _sign_rule_holds(signs: tuple[str, str, str, str]) -> bool:
+    a, b, a2, b2 = signs
+    return sign_product(a, b) != sign_product(a2, b2)
+
+
+def _completion(bottom: str, left: str, top: str, alpha: str, beta: str,
+                others: list[tuple[str, str, str]]) -> tuple[str, tuple[str, str, str, str]]:
+    """The right face and signs of the lozenge over the chain
+    ``bottom <beta left <alpha top``, given the other faces between
+    ``bottom`` and ``top`` as (face, alpha', beta') triples.  Raises the
+    ``LozengeError`` that witnesses the chain's failure."""
+    if not others:
+        raise NoCompletion(bottom, left, top)
+    if len(others) > 1:
+        raise AmbiguousCompletion(bottom, left, top, sorted(y for y, _, _ in others))
+    (right, alpha2, beta2), = others
+    signs = (alpha, beta, alpha2, beta2)
+    if not _sign_rule_holds(signs):
+        raise SignRuleViolation(bottom, left, top, right, signs)
+    return right, signs
 
 
 def complete_half_lozenge(complex_: FaceComplex, bottom: str, left: str, top: str) -> Lozenge:
@@ -105,38 +125,44 @@ def complete_half_lozenge(complex_: FaceComplex, bottom: str, left: str, top: st
     if beta is None or alpha is None:
         raise PreconditionViolation(
             f"{bottom} < {left} < {top} is not a two-step chain")
-    candidates = []
+    others = []
     for y, beta2 in complex_.cofaces(bottom):
         if y == left:
             continue
         alpha2 = complex_.cover_sign(y, top)
         if alpha2 is not None:
-            candidates.append((y, alpha2, beta2))
-    if not candidates:
-        raise NoCompletion(bottom, left, top)
-    if len(candidates) > 1:
-        raise AmbiguousCompletion(bottom, left, top, sorted(y for y, _, _ in candidates))
-    right, alpha2, beta2 = candidates[0]
-    signs = (alpha, beta, alpha2, beta2)
-    lozenge = Lozenge(top, left, right, bottom, signs)
-    if not lozenge.sign_rule_holds:
-        raise SignRuleViolation(bottom, left, top, right, signs)
-    return lozenge
+            others.append((y, alpha2, beta2))
+    right, signs = _completion(bottom, left, top, alpha, beta, others)
+    return Lozenge(top, left, right, bottom, signs)
 
 
 def check_oriented_thinness(complex_: FaceComplex) -> AxiomReport:
-    """Every two-step chain must complete to a unique sign-rule lozenge."""
+    """Every two-step chain must complete to a unique sign-rule lozenge.
+
+    Each face ``x`` of dimension >= 2 is done in one pass: the chains
+    ``z < y < x`` are read from the covers of ``x`` and of each ``y``, and
+    grouped by their bottom face ``z``.  The completions of a chain are the
+    faces other than ``y`` that cover ``z`` and are covered by ``x``; each
+    of them is the middle face of a chain from ``z`` to ``x``, so they are
+    exactly the other entries of ``z``'s group, with the same signs that
+    ``complete_half_lozenge`` reads from the cofaces of ``z``.
+    """
     bad: list[Violation] = []
     for x in complex_.faces():
         if complex_.dim(x) < 2:
             continue
-        for y, _ in complex_.covers(x):
-            for z, _ in complex_.covers(y):
-                try:
-                    complete_half_lozenge(complex_, z, y, x)
-                except LozengeError as err:
-                    bad.append(Violation(
-                        "oriented-thinness", (z, y, x), str(err)))
+        chains = []
+        below: dict[str, list[tuple[str, str, str]]] = {}
+        for y, alpha in complex_.covers(x):
+            for z, beta in complex_.covers(y):
+                chains.append((z, y, alpha, beta))
+                below.setdefault(z, []).append((y, alpha, beta))
+        for z, y, alpha, beta in chains:
+            others = [entry for entry in below[z] if entry[0] != y]
+            try:
+                _completion(z, y, x, alpha, beta, others)
+            except LozengeError as err:
+                bad.append(Violation("oriented-thinness", (z, y, x), str(err)))
     return AxiomReport(_sorted_violations(bad))
 
 
@@ -148,11 +174,12 @@ def check_acyclicity(complex_: FaceComplex) -> AxiomReport:
         if complex_.dim(x) < 2:
             continue
         sources = complex_.delta(x)
-        edges = {y: [] for y in sources}
-        for y2 in sources:
-            for y, sign in complex_.cofaces(complex_.gamma(y2)):
-                if sign == MINUS and y in sources:
-                    edges[y2].append(y)
+        # each face below the sources, to the sources it is a source of
+        consumers: dict[str, list[str]] = {}
+        for y in sources:
+            for w in complex_.delta(y):
+                consumers.setdefault(w, []).append(y)
+        edges = {y2: consumers.get(complex_.gamma(y2), []) for y2 in sources}
         cycle = _directed_cycle(edges)
         if cycle:
             bad.append(Violation(

@@ -207,27 +207,48 @@ class _Search:
                     todo.append(g[x])
         return orbit
 
-    def run(self, colours: list[int], classes: dict[int, list[int]]) -> Optional[int]:
-        """Search below the current path; a returned depth above it means
-        the rest of this subtree is an image of one already searched."""
-        if len(classes) == len(self.index.names):
-            return self.leaf(colours)
+    def node(self, colours: list[int], classes: dict[int, list[int]]) -> tuple:
+        """A search node: its colouring, the class it branches on, the
+        members left to try, and the swap keys and members tried."""
         first = min(c for c, members in classes.items() if len(members) > 1)
-        members = classes[first]
-        seen_keys = set()
-        explored: list[int] = []
-        for x in members:
-            key = self.index.swap_key(x)
-            if key in seen_keys or (self.automorphisms and x in self.explored_orbit(explored)):
+        return colours, classes, first, iter(classes[first]), set(), []
+
+    def run(self, colours: list[int], classes: dict[int, list[int]]) -> None:
+        """Search below the root with an explicit stack of nodes, so the
+        depth is not bounded by the interpreter's recursion limit.  The
+        node at depth ``d`` sits at ``stack[d]`` while ``self.path`` holds
+        the ``d`` faces individualised above it.  After an automorphism the
+        search returns to the node at the depth ``leaf`` gives: the rest of
+        every deeper node's subtree is an image of one already searched."""
+        n = len(self.index.names)
+        if len(classes) == n:
+            self.leaf(colours)
+            return
+        stack = [self.node(colours, classes)]
+        while stack:
+            colours, classes, first, members, seen_keys, explored = stack[-1]
+            for x in members:
+                key = self.index.swap_key(x)
+                if key in seen_keys or (self.automorphisms and x in self.explored_orbit(explored)):
+                    continue
+                seen_keys.add(key)
+                explored.append(x)
+                break
+            else:
+                stack.pop()
+                if stack:
+                    self.path.pop()
                 continue
-            seen_keys.add(key)
-            explored.append(x)
             self.path.append(x)
-            back = self.run(*_individualize(self.index, colours, classes, first, x))
+            colours, classes = _individualize(self.index, colours, classes, first, x)
+            if len(classes) < n:
+                stack.append(self.node(colours, classes))
+                continue
+            back = self.leaf(colours)
             self.path.pop()
-            if back is not None and back < len(self.path):
-                return back
-        return None
+            while back is not None and back < len(self.path):
+                stack.pop()
+                self.path.pop()
 
 
 def canonical_labeling(complex_: FaceComplex) -> tuple[Certificate, dict[str, int]]:

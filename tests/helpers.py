@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from opetope_kit import FaceComplex
+from opetope_kit import FaceComplex, RootedTree, three_cell_from_tree
 from opetope_kit.core import MINUS, PLUS, opposite
 
 
@@ -182,6 +182,16 @@ def disjoint_arrows(m: int) -> FaceComplex:
         target[f"a{i:02d}"] = f"t{i:02d}"
         sources[f"a{i:02d}"] = [f"s{i:02d}"]
     return FaceComplex(faces, target, sources)
+
+
+def chain_tree_cell(n: int) -> FaceComplex:
+    """The 3-cell of a chain of ``n`` binary nodes, each child plugged into
+    its parent's first slot, so every slot arrow starts at the first point."""
+    nodes = [f"n{i:05d}" for i in range(n)]
+    arity = {node: frozenset({f"a{i:05d}", f"b{i:05d}"}) for i, node in enumerate(nodes)}
+    triplets = {(nodes[i], f"a{i:05d}", nodes[i + 1]) for i in range(n - 1)}
+    return three_cell_from_tree(
+        RootedTree(frozenset(nodes), arity, frozenset(triplets), nodes[0]))
 
 
 def seeded_relabel(complex_: FaceComplex, seed: int) -> FaceComplex:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from opetope_kit import (
     is_dfc,
     linear_order_s0,
     single_edit_mutations,
+    three_cell_from_tree,
     two_cell,
     validate_rooted_tree,
 )
@@ -27,6 +29,7 @@ from opetope_kit.errors import DimensionTooLow, PreconditionViolation
 
 from helpers import (
     all_chains,
+    chain_tree_cell,
     negative_parenthesis_chains,
     positive_parenthesis_chains,
 )
@@ -293,6 +296,55 @@ def test_dfc_outputs_are_pinned(small_pops, tree_fixtures):
     assert digest.hexdigest() == DFC_OUTPUTS_SHA256
 
 
+def _sized_tree(seed, size):
+    """A seeded rooted tree of ``size`` nodes: each node hangs under a
+    random earlier one and has one slot per child plus up to one more."""
+    rng = random.Random(seed)
+    nodes = [f"n{i}" for i in range(size)]
+    children = {i: [] for i in range(size)}
+    for i in range(1, size):
+        children[rng.randrange(i)].append(i)
+    arity, triplets, made = {}, set(), 0
+    for i in range(size):
+        width = max(len(children[i]) + rng.randint(0, 1), 1)
+        slots = [f"s{made + j}" for j in range(width)]
+        made += width
+        rng.shuffle(slots)
+        for child, slot in zip(children[i], slots):
+            triplets.add((nodes[i], slot, nodes[child]))
+        arity[nodes[i]] = frozenset(slots)
+    return RootedTree(frozenset(nodes), arity, frozenset(triplets), nodes[0])
+
+
+# The same digest over every valid single edit of eight seeded tree-built
+# 3-cells of 5 to 12 nodes and of two_cell(1..6), computed before
+# check_oriented_thinness and check_acyclicity worked per face.
+DFC_NEAR_MISS_SHA256 = "b43f83c10b5f746f338c8eef621988d1e38b0ab2d9c003d8236d97fe3288baea"
+
+
+def test_dfc_near_miss_outputs_are_pinned():
+    cells = [three_cell_from_tree(_sized_tree(seed, size))
+             for seed, size in enumerate(range(5, 13))]
+    cells += [two_cell(n) for n in range(1, 7)]
+    digest = hashlib.sha256()
+    edits = 0
+    failures = {"no completing face": 0, "several completing faces": 0,
+                "breaks the sign rule": 0, "acyclicity": 0}
+    for cell in cells:
+        for _, dims, target, sources in single_edit_mutations(cell):
+            built = build_complex(dims, target, sources)
+            if not isinstance(built, FaceComplex):
+                continue
+            edits += 1
+            for v in is_dfc(built).violations:
+                for kind in failures:
+                    failures[kind] += kind == v.axiom or kind in v.detail
+            digest.update("\n".join(_dfc_outputs(built)).encode("utf-8") + b"\n")
+    assert edits == 1758
+    assert all(failures.values()), failures
+    assert digest.hexdigest() == DFC_NEAR_MISS_SHA256
+
+
 def test_oriented_thinness_reads_cofaces(monkeypatch):
     """Completing a chain looks at the cofaces of its bottom face, not at
     every cover of its top face, so the work per chain stays bounded on
@@ -312,6 +364,31 @@ def test_oriented_thinness_reads_cofaces(monkeypatch):
                  for y, _ in complex_.covers(x) for _ in complex_.covers(y))
     assert chains == 402
     assert calls <= 5 * chains
+
+
+def test_is_dfc_work_per_face_is_flat(monkeypatch):
+    """The adjacency entries ``is_dfc`` reads per face do not grow with the
+    depth of a chain-tree cell, whose first point is the source of every
+    slot arrow."""
+    cells = {n: chain_tree_cell(n) for n in (300, 1200)}
+    reads = 0
+
+    def counting(method):
+        def wrapped(self, name):
+            nonlocal reads
+            out = method(self, name)
+            reads += len(out)
+            return out
+        return wrapped
+
+    for name in ("covers", "cofaces", "delta"):
+        monkeypatch.setattr(FaceComplex, name, counting(getattr(FaceComplex, name)))
+    per_face = {}
+    for n, complex_ in cells.items():
+        reads = 0
+        assert is_dfc(complex_).passed
+        per_face[n] = reads / len(complex_)
+    assert per_face[1200] <= 1.1 * per_face[300], per_face
 
 
 ROOTED_TREE_QUERIES_SHA256 = "f8b013a5a33d49fd1de87d9f0f71ec0f81fe96c160116d87c825f6dfcd2d22fb"

@@ -190,6 +190,14 @@ def test_colour_refinement_alone_discretises_opetopes(monkeypatch):
     assert individualised == []
 
 
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    """Each level of the search on isolated points individualises one
+    point and leaves one child, so the path is as long as the complex."""
+    points = FaceComplex({f"p{i:04d}": 0 for i in range(1500)}, {}, {})
+    assert canonical_form(points) == ((1500,), ())
+    assert are_isomorphic(points, seeded_relabel(points, 7)) is not None
+
+
 def _oracle_pairs(classes):
     """Equal-profile pairs of distinct classes, each class against a seeded
     relabelling of itself, and each class against its valid single edits."""
