@@ -6,9 +6,18 @@ The text format has three statement kinds plus comments and blank lines::
     tgt <id> -> <id>
     src <id> <- <id>, <id>, ...
 
-Identifiers are ASCII (`[A-Za-z_][A-Za-z0-9_']*`); whitespace around
-tokens is free; duplicate declarations are reported with their line.  The
-JSON shape is an object with "faces" (name to dimension), "target" and
+Identifiers are ASCII (`[A-Za-z_][A-Za-z0-9_']*`); blanks (spaces and
+tabs) around tokens are free; duplicate declarations are reported with
+their line.  Two regular expressions read a line, and they are the whole
+grammar: one takes the first word, and the pattern of that word's
+statement kind takes the rest.  That pattern nests the statement's tokens
+as optional groups, each tried only once every token before it has
+matched, so one match reads as far as the line is well formed.  The last
+group that matched tells what was expected next, or accepts the line when
+it is the end-of-line group; a syntax error's column is that of the first
+non-blank character after the match (1-based).
+
+The JSON shape is an object with "faces" (name to dimension), "target" and
 "sources" maps.  Both emitters are byte-deterministic: keys and source
 lists come out sorted, so emitting the same complex twice gives identical
 text.  Parsing checks syntax and shape only; the base axioms are the
@@ -31,8 +40,8 @@ from .errors import (
     NonAsciiName,
 )
 
-_DSL_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_DSL_INT = re.compile(r"[0-9]+")
+_ID = r"[A-Za-z_][A-Za-z0-9_']*"
+_DSL_ID = re.compile(_ID)
 
 
 @dataclass
@@ -50,38 +59,32 @@ class ComplexDocument:
 
 # -- line format ----------------------------------------------------------
 
+_S = r"[ \t]*"
+_DSL_HEAD = re.compile(rf"({_S})({_ID})?")
+_DSL_SOURCE_SEP = re.compile(rf"{_S},{_S}")
 
-class _LineScanner:
-    def __init__(self, text: str, lineno: int):
-        self.text = text
-        self.lineno = lineno
-        self.pos = 0
 
-    def _skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+def _statement(*tokens: str, tail: str = rf"(?:{_S}(\Z))?") -> re.Pattern:
+    """The pattern for the rest of a statement after its first word."""
+    body = tail
+    for token in reversed(tokens):
+        body = f"(?:{_S}({token}){body})?"
+    return re.compile(body + _S)
 
-    def error(self, expected: str) -> DslSyntaxError:
-        return DslSyntaxError(self.lineno, self.pos + 1, expected)
 
-    def take(self, pattern: re.Pattern, expected: str) -> tuple[str, int]:
-        self._skip_space()
-        match = pattern.match(self.text, self.pos)
-        if not match:
-            raise self.error(expected)
-        self.pos = match.end()
-        return match.group(), match.start() + 1
-
-    def literal(self, token: str) -> None:
-        self._skip_space()
-        if not self.text.startswith(token, self.pos):
-            raise self.error(f"'{token}'")
-        self.pos += len(token)
-
-    def end(self) -> None:
-        self._skip_space()
-        if self.pos != len(self.text):
-            raise self.error("end of line")
+# Per statement kind: its pattern and, indexed by the last group that
+# matched (0 for none), the text it expected next; None accepts the line.
+# A source list is one group; a comma after it still wants a name.
+_DSL_STATEMENTS = {
+    "face": (_statement(_ID, ":", "[0-9]+"),
+             ("face name", "':'", "dimension", "end of line", None)),
+    "tgt": (_statement(_ID, "->", _ID),
+            ("face name", "'->'", "target face name", "end of line", None)),
+    "src": (_statement(_ID, "<-", rf"{_ID}(?:{_S},{_S}{_ID})*",
+                       tail=rf"(?:{_S}(,)|{_S}(\Z))?"),
+            ("face name", "'<-'", "source face name", "end of line",
+             "source face name", None)),
+}
 
 
 def parse_dsl(text: str) -> ComplexDocument:
@@ -101,49 +104,38 @@ def parse_dsl(text: str) -> ComplexDocument:
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        scanner = _LineScanner(raw, lineno)
-        word, word_col = scanner.take(_DSL_ID, "'face', 'tgt' or 'src'")
+        head = _DSL_HEAD.match(raw)
+        word = head[2]
+        if word not in _DSL_STATEMENTS:
+            raise DslSyntaxError(lineno, head.end(1) + 1, "'face', 'tgt' or 'src'")
+        pattern, expected = _DSL_STATEMENTS[word]
+        match = pattern.match(raw, head.end())
+        missing = expected[match.lastindex or 0]
+        if missing is not None:
+            raise DslSyntaxError(lineno, match.end() + 1, missing)
+        name = match[1]
         if word == "face":
-            name, _ = scanner.take(_DSL_ID, "face name")
-            scanner.literal(":")
-            dim_text, _ = scanner.take(_DSL_INT, "dimension")
-            scanner.end()
             if name in declared:
                 raise DuplicateDeclaration(lineno, f"face {name}")
-            declared[name] = int(dim_text)
-            doc.faces.append((name, int(dim_text)))
-        elif word == "tgt":
-            name, col = scanner.take(_DSL_ID, "face name")
-            scanner.literal("->")
-            value, _ = scanner.take(_DSL_ID, "target face name")
-            scanner.end()
+            declared[name] = dim = int(match[3])
+            doc.faces.append((name, dim))
+            continue
+        if word == "tgt":
             if name in doc.target:
                 raise DuplicateDeclaration(lineno, f"target of {name}")
-            doc.target[name] = value
-            subject_positions.append((name, lineno, col))
-        elif word == "src":
-            name, col = scanner.take(_DSL_ID, "face name")
-            scanner.literal("<-")
-            entries = [scanner.take(_DSL_ID, "source face name")[0]]
-            while True:
-                scanner._skip_space()
-                if scanner.pos < len(raw) and raw[scanner.pos] == ",":
-                    scanner.pos += 1
-                    entries.append(scanner.take(_DSL_ID, "source face name")[0])
-                else:
-                    break
-            scanner.end()
+            doc.target[name] = match[3]
+        else:
             if name in doc.sources:
                 raise DuplicateDeclaration(lineno, f"sources of {name}")
-            counts = Counter(entries)
-            for entry in entries:
-                if counts[entry] > 1:
-                    raise DuplicateDeclaration(
-                        lineno, f"source {entry} of {name}")
+            entries = _DSL_SOURCE_SEP.split(match[3])
+            if len(set(entries)) != len(entries):
+                counts = Counter(entries)
+                for entry in entries:
+                    if counts[entry] > 1:
+                        raise DuplicateDeclaration(
+                            lineno, f"source {entry} of {name}")
             doc.sources[name] = entries
-            subject_positions.append((name, lineno, col))
-        else:
-            raise DslSyntaxError(lineno, word_col, "'face', 'tgt' or 'src'")
+        subject_positions.append((name, lineno, match.start(1) + 1))
 
     for name, lineno, col in subject_positions:
         if declared.get(name) == 0:

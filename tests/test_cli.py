@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -11,6 +14,8 @@ from opetope_kit import (
     RootedTree,
     emit_dsl,
     emit_json,
+    parse_dsl,
+    parse_json,
     three_cell_from_tree,
     three_one,
     two_cell,
@@ -349,3 +354,107 @@ def test_exit_code_contract(tmp_path, argv, env, content, code):
     assert done.returncode == code
     assert "Traceback" not in done.stderr
     assert len(done.stderr.strip().splitlines()) == 1
+
+
+def _run_fresh(argv, env):
+    """Exit code, stdout and stderr of ``argv`` in a new interpreter."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "opetope_kit.cli"] + argv,
+                          env=env, capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_is_built_once_and_reused(two2_dsl, capsys, monkeypatch):
+    """One process, several commands: each prints what a fresh process
+    prints, so no option of one call leaks into the next, and the argument
+    parser is built by the first call only."""
+    import opetope_kit.cli as cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = [["validate", two2_dsl, "--json"], ["validate", two2_dsl],
+                ["validate", two2_dsl, "--mode", "nope"], ["order", two2_dsl]]
+    cli._parser.cache_clear()
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as err:
+            code = err.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _run_fresh(argv, os.environ)
+    assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 3)
+
+
+_FUZZ_COMMANDS = ("validate", "convert", "tree", "order", "partition",
+                  "zigzag", "export-dot")
+
+
+def _fuzz_argv(command, path, complex_):
+    """Arguments for ``command`` that make sense for the unmutated file."""
+    if command == "convert":
+        return ["convert", path, "--to", "json" if path.endswith(".dsl") else "dsl"]
+    if command == "tree":
+        return ["tree", path, "--face", complex_.faces()[-1]]
+    if command == "partition":
+        return ["partition", path, "--dim", "0"]
+    if command == "zigzag":
+        anchor = next((x for x in complex_.faces() if complex_.dim(x) >= 1
+                       and len(complex_.delta(x)) >= 2), complex_.faces()[-1])
+        ends = sorted(complex_.delta(anchor)) if complex_.dim(anchor) else [anchor]
+        return ["zigzag", path, "--anchor", anchor, "--from", ends[0],
+                "--to", ends[-1]]
+    return [command, path]
+
+
+def _mutate(data, rng, donors):
+    """One byte-level edit, or two in a quarter of the inputs: a flipped
+    bit, a deleted run of bytes, a run spliced in from a corpus file, or a
+    deleted or duplicated line."""
+    for _ in range(1 + (rng.random() < 0.25)):
+        if not data:
+            break
+        kind, at = rng.randrange(5), rng.randrange(len(data))
+        if kind == 0:
+            data = data[:at] + bytes([data[at] ^ (1 << rng.randrange(8))]) + data[at + 1:]
+        elif kind == 1:
+            data = data[:at] + data[at + rng.randint(1, 4):]
+        elif kind == 2:
+            donor = rng.choice(donors)
+            start = rng.randrange(len(donor))
+            data = data[:at] + donor[start:start + rng.randint(1, 12)] + data[at:]
+        else:
+            lines = data.split(b"\n")
+            i = rng.randrange(len(lines))
+            lines[i:i + 1] = [lines[i]] * (kind - 2)
+            data = b"\n".join(lines)
+    return data
+
+
+def test_cli_fuzzed_corpus_keeps_the_exit_code_contract(tmp_path):
+    """Byte-mutated corpus files through every file-reading command, in
+    process: each returns 0, 1 or 2 and prints no traceback, and at least
+    a tenth of the mutated files still parse."""
+    rng, rounds = random.Random(11), 40
+    corpus = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+    files = sorted(corpus.glob("*.dsl")) + sorted(corpus.glob("*.json"))
+    donors = [f.read_bytes() for f in files]
+    complexes = [(parse_dsl if f.suffix == ".dsl" else parse_json)(
+        data.decode("utf-8")).build() for f, data in zip(files, donors)]
+    parsed = calls = 0
+    for _ in range(rounds):
+        for source, original, complex_ in zip(files, donors, complexes):
+            data = _mutate(original, rng, donors)
+            path = tmp_path / f"fuzz{source.suffix}"
+            path.write_bytes(data)
+            for command in _FUZZ_COMMANDS:
+                argv = _fuzz_argv(command, str(path), complex_)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                calls += 1
+                parsed += command == "validate" and code != 2
+                assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), \
+                    (argv[0], data)
+    assert calls == rounds * len(files) * len(_FUZZ_COMMANDS)
+    assert parsed >= 0.1 * rounds * len(files)

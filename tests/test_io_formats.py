@@ -1,3 +1,7 @@
+import hashlib
+import random
+import re
+
 import pytest
 
 from opetope_kit import (
@@ -221,3 +225,84 @@ def test_dot_tree_golden(two2):
         '  "f2" [label="f2"];\n'
         '  "f1" -> "f2" [label="x1"];\n'
         '}\n')
+
+
+# Statement shapes the single-character edits start from: every kind, with
+# free whitespace, tabs, primed names, multi-digit dimensions and lists.
+_DSL_SHAPES = (
+    "face x : 0", "face f : 1", "  face\tx1' :12  ", "face f:2",
+    "tgt f -> y", "tgt f->x", "\ttgt  g' ->  x ",
+    "src f <- x", "src f<-x", "src alpha <- f1, f2, f3", "src a <- b ,c,\td ",
+)
+_DSL_EDIT_CHARS = (" ", "\t", "x", "0", "9", ":", ",", "-", ">", "<", "#",
+                   "é", "'", "_", "\xa0")
+_DSL_TOKENS = ("face", "tgt", "src", "x", "f", "y1", "a'", "_b", "0", "1",
+               "12", ":", "->", "<-", ",", "#", "\t", " ", "é", "-", ">", "<")
+_DSL_BASE = "face x : 0\nface f : 1\ntgt g -> x\nsrc g <- x\n"
+_DSL_POOL = (
+    "face x : 0", "face y : 0", "face f : 1", "face g : 1", "face x : 1",
+    "face a : 2", "tgt f -> y", "tgt g -> x", "tgt x -> y", "tgt f -> x",
+    "src f <- x", "src g <- x, y", "src a <- f, g", "src y <- x",
+    "src g <- y, y", "src a <- g, f, g", "tgt a -> h", "", "  ", "# note",
+    "\t# face", "\xa0", "face h : 1 junk", "src f <- ",
+)
+
+
+def _dsl_battery():
+    """Seeded malformed and well-formed inputs for the line format: every
+    single-character insert and delete on each statement shape (alone and
+    after a small document), random token strings, and random documents."""
+    rng = random.Random(7)
+    lines = []
+    for shape in _DSL_SHAPES:
+        for i in range(len(shape) + 1):
+            lines.extend(shape[:i] + ch + shape[i:] for ch in _DSL_EDIT_CHARS)
+        lines.extend(shape[:i] + shape[i + 1:] for i in range(len(shape)))
+    inputs = lines + [_DSL_BASE + line for line in lines]
+    for _ in range(5000):
+        line = "".join(tok + rng.choice(("", " ", " ", "\t"))
+                       for tok in rng.choices(_DSL_TOKENS, k=rng.randint(1, 7)))
+        inputs.append(line if rng.random() < 0.5 else _DSL_BASE + line)
+    for _ in range(3000):
+        picked = rng.choices(_DSL_POOL, k=rng.randint(1, 8))
+        inputs.append(rng.choice(("\n", "\n", "\r\n", "\x0c")).join(picked))
+    return inputs
+
+
+def _dsl_outcome(text):
+    try:
+        doc = parse_dsl(text)
+    except (DslSyntaxError, DuplicateDeclaration) as err:
+        return err
+    return (doc.faces, doc.target, doc.sources)
+
+
+# SHA-256 over the outcome of parse_dsl (exception type and message, or the
+# parsed faces, targets and sources) on every input of _dsl_battery,
+# computed when each line was read by a token-by-token scanner.
+DSL_OUTCOMES_SHA256 = "9a8bf7557f9633dac027fbbb578da00331d02d84ac7e9eae38e1ca29dc7032aa"
+
+
+def test_dsl_parse_outcomes_are_pinned():
+    inputs = _dsl_battery()
+    digest = hashlib.sha256()
+    expected, duplicates, parsed = set(), set(), 0
+    for text in inputs:
+        outcome = _dsl_outcome(text)
+        if isinstance(outcome, DslSyntaxError):
+            expected.add(outcome.expected)
+        elif isinstance(outcome, DuplicateDeclaration):
+            duplicates.add(re.search(r"\((\w+)", str(outcome)).group(1))
+        else:
+            parsed += 1
+        if isinstance(outcome, Exception):
+            outcome = (type(outcome).__name__, str(outcome))
+        digest.update(repr((text, outcome)).encode("utf-8") + b"\n")
+    assert expected == {
+        "'face', 'tgt' or 'src'", "face name", "':'", "dimension", "'->'",
+        "target face name", "'<-'", "source face name", "end of line",
+        "a face of dimension >= 1"}
+    assert duplicates == {"face", "target", "sources", "source"}
+    assert parsed > 1000
+    assert len(inputs) == 12650
+    assert digest.hexdigest() == DSL_OUTCOMES_SHA256
