@@ -7,8 +7,11 @@ and prunes partial stages) must stream the same canonical forms, in the
 same order, as ``enumerate_pops`` filtered by ``is_positive_opetope``.
 Both share the prefix deduplication, so ``enumerate_pops`` must also
 stream the same canonical forms, in the same order, as
-``naive_enumerate_pops`` at (3, 7).  Exits 1 on any mismatch.  Takes
-under a minute on one core:
+``naive_enumerate_pops`` at (3, 7).  Each search prints its time and the
+number of stages it built (dimension-0 bases included; not for the naive
+recount, which counts labelled assignments), counted by wrapping the
+enumerator's ``FaceComplex``.  Exits 1 on any mismatch.
+Takes under a minute on one core:
 
     python3 scripts/check_opetope_stream.py
 """
@@ -21,41 +24,54 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from opetope_kit import (  # noqa: E402
     EnumerationBudget,
+    FaceComplex,
     canonical_form,
     enumerate_pops,
     enumerate_positive_opetopes,
     is_positive_opetope,
     naive_enumerate_pops,
 )
+from opetope_kit import enumeration  # noqa: E402
 
 BUDGETS = ((3, 9), (4, 9))
 NAIVE_BUDGET = (3, 7)
 
+built = 0
+
+
+def _counting(*args, **kwargs):
+    global built
+    built += 1
+    return FaceComplex(*args, **kwargs)
+
 
 def main() -> int:
+    enumeration.FaceComplex = _counting
     failed = False
     for max_dim, max_faces in BUDGETS:
         budget = EnumerationBudget(max_dim, max_faces)
-        start = time.perf_counter()
+        start, before = time.perf_counter(), built
         pruned = [canonical_form(c) for c in enumerate_positive_opetopes(budget)]
-        middle = time.perf_counter()
+        middle, between = time.perf_counter(), built
         classes = list(enumerate_pops(budget))
         filtered = [canonical_form(c) for c in classes if is_positive_opetope(c).passed]
         end = time.perf_counter()
         verdict = "ok" if pruned == filtered else "MISMATCH"
         failed |= pruned != filtered
         print(f"({max_dim}, {max_faces}): pruned {len(pruned)} opetopes in "
-              f"{middle - start:.1f} s; filtered {len(filtered)} of {len(classes)} "
-              f"classes in {end - middle:.1f} s: {verdict}", flush=True)
+              f"{middle - start:.1f} s from {between - before} stages; filtered "
+              f"{len(filtered)} of {len(classes)} classes in {end - middle:.1f} s "
+              f"from {built - between} stages: {verdict}", flush=True)
     budget = EnumerationBudget(*NAIVE_BUDGET)
-    start = time.perf_counter()
+    start, before = time.perf_counter(), built
     clever = [canonical_form(c) for c in enumerate_pops(budget)]
-    middle = time.perf_counter()
+    middle, stages = time.perf_counter(), built - before
     naive = [canonical_form(c) for c in naive_enumerate_pops(budget)]
     end = time.perf_counter()
     verdict = "ok" if clever == naive else "MISMATCH"
     failed |= clever != naive
-    print(f"{NAIVE_BUDGET}: enumerated {len(clever)} classes in {middle - start:.1f} s; "
+    print(f"{NAIVE_BUDGET}: enumerated {len(clever)} classes in {middle - start:.1f} s "
+          f"from {stages} stages; "
           f"naive recount {len(naive)} in {end - middle:.1f} s: {verdict}", flush=True)
     return 1 if failed else 0
 

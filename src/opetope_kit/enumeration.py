@@ -12,7 +12,11 @@ emitted in a deterministic order with canonical face names.  Each stage
 stacks one stratum on its parent (``FaceComplex(..., extends=parent)``),
 which validates only the new stratum.  The opetope search prunes a stage
 with the checker's own :func:`zpo.settled_violations` for the newest
-stratum, which is invariant under isomorphism.
+stratum, which is invariant under isomorphism.  Principality, the first of
+those and the one that rejects most candidates, reads only the names one
+stratum down and the new stratum's source sets, so the search decides it
+on the assignment (:func:`zpo.principality_from_sources`) before building
+the stage, and builds only the candidates that pass.
 
 The opetope search also skips every stratum-size profile ``(n_0, ..., n_d)``
 unless ``n_d == 1`` and the Euler characteristic ``n_0 - n_1 + n_2 - ...``
@@ -44,7 +48,7 @@ from typing import Iterator, Optional
 from .core import FaceComplex, validate_complex_data
 from .errors import BudgetTooLarge
 from .iso import Certificate, canonical_face_name, canonical_form, complex_from_certificate
-from .zpo import is_positive_opetope, settled_violations
+from .zpo import is_positive_opetope, principality_from_sources, settled_violations
 
 WORK_LIMIT_ENV = "OPETOPE_KIT_WORK_LIMIT"
 DEFAULT_WORK_LIMIT = 2_000_000
@@ -77,16 +81,22 @@ def resolve_work_limit(work_limit: Optional[int]) -> int:
 
 
 class _WorkMeter:
+    """Counts the assignments tried and names where the walk is, so that
+    running over the limit says where it stopped."""
+
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
+        self.where = ""
 
-    def tick(self, amount: int = 1) -> None:
-        self.used += amount
+    def tick(self) -> None:
+        self.used += 1
         if self.used > self.limit:
             raise BudgetTooLarge(
-                f"enumeration exceeded the work limit of {self.limit} "
-                f"(stages built; labelled assignments in the naive recount); "
+                f"enumeration exceeded the work limit of {self.limit} at {self.where} "
+                f"(assignments tried: stages built, and candidate strata the "
+                f"opetope search rejects before building one; labelled "
+                f"assignments in the naive recount); "
                 f"raise {WORK_LIMIT_ENV} to allow more")
 
 
@@ -164,6 +174,7 @@ def _classes(budget: EnumerationBudget, meter: _WorkMeter,
             path.pop()
         last, names = profile, _stratum_names(profile)
         for k in range(len(path), len(profile)):
+            meter.where = f"profile {profile}, stratum {k}"
             layer = dict.fromkeys(names[k], k)
             if k == 0:
                 meter.tick()
@@ -175,6 +186,10 @@ def _classes(budget: EnumerationBudget, meter: _WorkMeter,
                 for combo in itertools.combinations_with_replacement(options, profile[k]):
                     meter.tick()
                     targets, sources = zip(*combo)
+                    if opetopes_only and next(
+                            principality_from_sources(names[k - 1], sources, k - 1),
+                            None) is not None:
+                        continue
                     stage = FaceComplex(layer, dict(zip(names[k], targets)),
                                         dict(zip(names[k], sources)), extends=parent)
                     if opetopes_only and next(settled_violations(stage, k), None) is not None:
@@ -209,9 +224,10 @@ def enumerate_positive_opetopes(budget: EnumerationBudget,
     Equivalent to filtering :func:`enumerate_pops` by the positive-opetope
     check.  The search skips profiles whose top stratum is not one face or
     whose Euler characteristic is not 1 (see the module docstring),
-    extends one representative per class of each prefix, and prunes a
-    stage on the violations its newest stratum settles; the final filter
-    is still the real checker.
+    extends one representative per class of each prefix, decides
+    principality from a candidate stratum's source sets before building
+    the stage, and prunes a built stage on the violations its newest
+    stratum settles; the final filter is still the real checker.
     """
     meter = _WorkMeter(resolve_work_limit(work_limit))
     yield from _collect(
@@ -231,6 +247,7 @@ def naive_enumerate_pops(budget: EnumerationBudget,
     meter = _WorkMeter(resolve_work_limit(work_limit))
     certs = set()
     for profile in _profiles(budget, meter.limit):
+        meter.where = f"profile {profile}"
         names = _stratum_names(profile)
         spaces = []
         for k in range(1, len(profile)):

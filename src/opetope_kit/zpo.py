@@ -9,7 +9,9 @@ failing complex can be repaired or used as a counterexample.
 
 Each axiom is checked level by level, by one generator per axiom.  The
 enumerator's pruner and the whole-complex checks both run them, through
-:func:`settled_violations`.
+:func:`settled_violations`.  Principality reads only names and source
+sets, so the opetope search also decides it through
+:func:`principality_from_sources` before it builds a stage.
 """
 
 from __future__ import annotations
@@ -161,15 +163,28 @@ def _pencil_linearity(complex_: FaceComplex, k: int,
                     f"not plus-comparable")
 
 
-def _principality(complex_: FaceComplex, k: int) -> Iterator[Violation]:
+def principality_from_sources(stratum: Iterable[str],
+                              source_sets: Iterable[frozenset[str]],
+                              k: int) -> Iterator[Violation]:
+    """Principality at level ``k``, from the names of stratum ``k`` and the
+    source sets of the faces of stratum ``k + 1``.
+
+    Nothing else is read, so the enumerator decides it on an assignment
+    before building the stage.
+    """
     used: set[str] = set()
-    for w in complex_.stratum(k + 1):
-        used |= complex_.delta(w)
-    left = [y for y in complex_.stratum(k) if y not in used]
+    for sources in source_sets:
+        used |= sources
+    left = [y for y in stratum if y not in used]
     if len(left) != 1:
         yield Violation(
             "principality", tuple(left),
             f"stratum {k} has {len(left)} non-source faces {_fmt(left)}, expected 1")
+
+
+def _principality(complex_: FaceComplex, k: int) -> Iterator[Violation]:
+    return principality_from_sources(complex_.stratum(k),
+                                     map(complex_.delta, complex_.stratum(k + 1)), k)
 
 
 def settled_violations(complex_: FaceComplex, k: int) -> Iterator[Violation]:

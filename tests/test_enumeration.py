@@ -8,6 +8,7 @@ from opetope_kit import (
     FaceComplex,
     are_isomorphic,
     arrow,
+    build_complex,
     canonical_form,
     enumerate_pops,
     enumerate_positive_opetopes,
@@ -15,6 +16,7 @@ from opetope_kit import (
     is_positive_opetope,
     naive_enumerate_pops,
     point,
+    single_edit_mutations,
     three_cell_from_tree,
     three_one,
     two_cell,
@@ -22,6 +24,7 @@ from opetope_kit import (
 from opetope_kit import enumeration
 from opetope_kit.enumeration import _profiles
 from opetope_kit.iso import complex_from_certificate
+from opetope_kit.zpo import _principality, settled_violations
 
 from test_equivalence_random import random_tree
 
@@ -131,6 +134,23 @@ def test_work_limit_counts_stages_built():
     assert len(list(enumerate_pops(budget, work_limit=251))) == 57
     with pytest.raises(BudgetTooLarge, match="stages built"):
         list(enumerate_pops(budget, work_limit=250))
+
+
+def test_work_limit_counts_assignments_tried():
+    """The opetope search ticks once per assignment tried, whether or not
+    its source sets rule the stage out before it is built.  At (3, 8) the
+    smallest limit is set by the 162 stratum-size profiles, at (4, 9) by
+    the 2 457 assignments tried; both were measured while every tried
+    assignment was still built."""
+    for budget, smallest, opetopes, stop in (
+            ((3, 8), 162, 5, "more than 161 stratum-size profiles, over the work limit"),
+            ((4, 9), 2457, 9, r"work limit of 2456 at profile \(4, 4, 1\), stratum 2 \(")):
+        budget = EnumerationBudget(*budget)
+        assert len(list(enumerate_positive_opetopes(budget, work_limit=smallest))) == opetopes
+        with pytest.raises(BudgetTooLarge, match=stop):
+            list(enumerate_positive_opetopes(budget, work_limit=smallest - 1))
+    with pytest.raises(BudgetTooLarge, match=r"at profile \(2, 1\) \("):
+        naive_enumerate_pops(EnumerationBudget(1, 3), work_limit=7)
 
 
 def test_work_limit_env(monkeypatch):
@@ -247,3 +267,50 @@ def test_extended_stages_equal_their_full_rebuild(monkeypatch, run):
         for x in full.faces():
             assert stage.cofaces(x) == full.cofaces(x)
             assert stage.covers(x) == full.covers(x)
+
+
+def test_principality_is_decided_before_the_stage_is_built(monkeypatch):
+    """For every assignment the (4, 8) search tries, the principality
+    violation read from its source sets is the one the checker finds on
+    the built stage, and the search skips exactly the stages whose first
+    settled violation is principality."""
+    def search():
+        return list(enumerate_positive_opetopes(EnumerationBudget(4, 8)))
+
+    decided = []
+    real = enumeration.principality_from_sources
+
+    def build_anyway(stratum, source_sets, k):
+        decided.append(next(real(stratum, source_sets, k), None))
+        return iter(())
+
+    monkeypatch.setattr(enumeration, "principality_from_sources", build_anyway)
+    tried = [stage for stage, extended in _built_stages(monkeypatch, search) if extended]
+    monkeypatch.setattr(enumeration, "principality_from_sources", real)
+    built = [stage for stage, extended in _built_stages(monkeypatch, search) if extended]
+
+    assert len(decided) == len(tried)
+    for stage, violation in zip(tried, decided):
+        assert violation == next(_principality(stage, stage.dimension - 1), None)
+    first = [next(settled_violations(stage, stage.dimension), None) for stage in tried]
+    assert built == [stage for stage, v in zip(tried, first)
+                     if v is None or v.axiom != "principality"]
+    assert sum(v is not None for v in decided) == len(tried) - len(built) > 0
+
+
+def _built_edits(cells):
+    return [built for cell in cells for _, *data in single_edit_mutations(cell)
+            if isinstance(built := build_complex(*data), FaceComplex)]
+
+
+def test_near_misses_of_the_pinned_opetopes_get_one_verdict():
+    """Every single edit of the (4, 9) opetopes, and every single edit of
+    those edits, that passes base validation gets the same verdict from the
+    dendritic and the positive-opetope suites.  Some double edits land on
+    an opetope again, so both verdicts occur."""
+    single = _built_edits(complex_from_certificate(c) for c in OPETOPES_4_9)
+    double = _built_edits(single)
+    assert (len(single), len(double)) == (28, 212)
+    verdicts = [(is_dfc(c).passed, is_positive_opetope(c).passed) for c in single + double]
+    assert all(dfc == zpo for dfc, zpo in verdicts)
+    assert sum(zpo for _, zpo in verdicts) == 17
