@@ -82,15 +82,11 @@ from .paths import ZigZag, linear_order_s0, path_to_root, simple_zigzag, sources
 from .relations import (
     ClosedRelation,
     FacePath,
-    StepRelation,
-    closure,
     gamma_set,
     iota,
     is_lower_path,
     is_upper_path,
     lambda_set,
-    step_minus,
-    step_plus,
 )
 from .zpo import (
     check_disjointness,

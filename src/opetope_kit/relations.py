@@ -1,13 +1,13 @@
 """Derived order relations and distinguished face subsets.
 
-Within one stratum two one-step relations exist: ``x`` steps minus to
-``x'`` when the target of ``x`` is a source of ``x'``, and ``x`` steps
-plus to ``x'`` when some face one dimension up has ``x`` among its sources
-and ``x'`` as its target.  Their transitive closures are the strict orders
-used by every axiom checker.  A closed relation stores one reachability
-bitmask per face of the stratum, a Python ``int`` whose bit ``j`` marks the
-``j``-th face in name order, so every axiom scan reads whole rows of the
-order at once and no pair of the closure is ever stored.
+Each stratum carries two strict orders.  ``x`` steps minus to ``x'`` when
+the target of ``x`` is a source of ``x'``, and ``x`` steps plus to ``x'``
+when some face one dimension up has ``x`` among its sources and ``x'`` as
+its target; ``<-`` and ``<+`` are the transitive closures of these steps
+and are read by every axiom checker.  A closed relation stores one
+reachability bitmask per face of the stratum, a Python ``int`` whose bit
+``j`` marks the ``j``-th face in name order, so every axiom scan reads
+whole rows of the order at once and no pair of the order is ever stored.
 """
 
 from __future__ import annotations
@@ -15,15 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .core import MINUS, PLUS, FaceComplex
 from .errors import DimensionOutOfRange, DimensionTooLow, UnknownFaceReference
-
-
-@dataclass(frozen=True)
-class StepRelation:
-    """One-step relation between faces of a single dimension."""
-
-    dimension: int
-    sign: str
-    pairs: frozenset[tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -49,46 +40,21 @@ class FacePath:
 
 
 class ClosedRelation:
-    """Transitive closure of a step relation, as reachability bitmasks.
+    """Transitive closure of a one-step relation, as reachability bitmasks.
 
     Position ``i`` is the face ``faces[i]``, ``steps[i]`` lists the
     positions it steps to, and bit ``j`` of ``masks[i]`` is set when
     ``faces[i]`` lies strictly below ``faces[j]``.
     """
 
-    __slots__ = ("dimension", "sign", "faces", "index", "masks", "steps")
+    __slots__ = ("faces", "index", "masks", "steps")
 
-    def __init__(self, dimension: int, sign: str, faces: tuple[str, ...],
-                 index: dict[str, int], steps: list[list[int]]):
-        self.dimension = dimension
-        self.sign = sign
+    def __init__(self, faces: tuple[str, ...], index: dict[str, int],
+                 steps: list[list[int]]):
         self.faces = faces
         self.index = index
         self.masks = _reach(steps)
         self.steps = steps
-
-    @property
-    def pairs(self) -> frozenset[tuple[str, str]]:
-        """Every pair (x, y) with x below y, built on each call."""
-        faces = self.faces
-        return frozenset((x, y) for x, mask in zip(faces, self.masks)
-                         for j, y in enumerate(faces) if mask >> j & 1)
-
-    def contains(self, x: str, y: str) -> bool:
-        """Strict comparison: x below y."""
-        i, j = self.index.get(x), self.index.get(y)
-        return i is not None and j is not None and self.masks[i] >> j & 1 == 1
-
-    def comparable(self, x: str, y: str) -> bool:
-        """Either strict direction holds (x != y required)."""
-        return self.contains(x, y) or self.contains(y, x)
-
-    def le(self, x: str, y: str) -> bool:
-        """Reflexive extension of the strict order."""
-        return x == y or self.contains(x, y)
-
-    def is_irreflexive(self) -> bool:
-        return not any(mask >> i & 1 for i, mask in enumerate(self.masks))
 
     def comparable_masks(self) -> list[int]:
         """For each position, the positions comparable with it in either
@@ -168,45 +134,17 @@ def _successors(complex_: FaceComplex, k: int, sign: str
     return faces, index, succ
 
 
-def _step_relation(complex_: FaceComplex, k: int, sign: str) -> StepRelation:
-    faces, _, succ = _successors(complex_, k, sign)
-    return StepRelation(k, sign, frozenset((faces[u], faces[v])
-                                           for u, vs in enumerate(succ) for v in vs))
-
-
-def step_minus(complex_: FaceComplex, k: int) -> StepRelation:
-    """Pairs (x, x') of k-faces with the target of x among sources of x'.
-
-    On stratum 0 the relation is empty by definition.
-    """
-    return _step_relation(complex_, k, MINUS)
-
-
-def step_plus(complex_: FaceComplex, k: int) -> StepRelation:
-    """Pairs (x, x') witnessed by a (k+1)-face with source x and target x'."""
-    return _step_relation(complex_, k, PLUS)
-
-
-def closure(rel: StepRelation) -> ClosedRelation:
-    """Minimal transitive superset, as one reachability mask per face."""
-    faces = tuple(sorted({x for pair in rel.pairs for x in pair}))
-    index = dict(zip(faces, range(len(faces))))
-    succ: list[list[int]] = [[] for _ in faces]
-    for u, v in rel.pairs:
-        succ[index[u]].append(index[v])
-    return ClosedRelation(rel.dimension, rel.sign, faces, index, succ)
-
-
 def closed_minus(complex_: FaceComplex, k: int) -> ClosedRelation:
-    """The pairs of ``closure(step_minus(complex_, k))``, over positions in
-    the whole stratum, read without the pair set."""
-    return ClosedRelation(k, MINUS, *_successors(complex_, k, MINUS))
+    """The order ``<-`` on stratum ``k``: ``x`` steps minus to ``x'`` when
+    the target of ``x`` is a source of ``x'``.  Empty on stratum 0, whose
+    faces have no target."""
+    return ClosedRelation(*_successors(complex_, k, MINUS))
 
 
 def closed_plus(complex_: FaceComplex, k: int) -> ClosedRelation:
-    """The pairs of ``closure(step_plus(complex_, k))``, over positions in
-    the whole stratum, read without the pair set."""
-    return ClosedRelation(k, PLUS, *_successors(complex_, k, PLUS))
+    """The order ``<+`` on stratum ``k``: ``x`` steps plus to ``x'`` when
+    some (k+1)-face has source ``x`` and target ``x'``."""
+    return ClosedRelation(*_successors(complex_, k, PLUS))
 
 
 def gamma_set(complex_: FaceComplex, k: int) -> frozenset[str]:

@@ -12,6 +12,7 @@ import random
 
 from opetope_kit import FaceComplex, RootedTree, three_cell_from_tree
 from opetope_kit.core import MINUS, PLUS, opposite
+from opetope_kit.relations import ClosedRelation
 
 
 def all_chains(complex_: FaceComplex):
@@ -84,6 +85,25 @@ def warshall_closure(names, pairs) -> set[tuple[str, str]]:
                     if (mid, y) in closed:
                         closed.add((x, y))
     return closed
+
+
+def order_pairs(closed: ClosedRelation) -> frozenset[tuple[str, str]]:
+    """Every pair (x, y) with x strictly below y, read back from the mask
+    rows of ``closed``."""
+    faces = closed.faces
+    return frozenset((x, y) for x, mask in zip(faces, closed.masks)
+                     for j, y in enumerate(faces) if mask >> j & 1)
+
+
+def closed_from_pairs(names, pairs) -> ClosedRelation:
+    """The closure of hand-written steps ``pairs`` over the sorted
+    ``names``, which may hold faces no pair names."""
+    faces = tuple(sorted(names))
+    index = dict(zip(faces, range(len(faces))))
+    steps: list[list[int]] = [[] for _ in faces]
+    for x, y in pairs:
+        steps[index[x]].append(index[y])
+    return ClosedRelation(faces, index, steps)
 
 
 def positive_parenthesis_chains(complex_: FaceComplex, e: str, beta: str,
