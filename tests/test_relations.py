@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -5,12 +7,17 @@ import pytest
 from opetope_kit import (
     DimensionOutOfRange,
     DimensionTooLow,
+    EnumerationBudget,
     UnknownFaceReference,
+    arrow,
+    enumerate_pops,
     gamma_set,
     iota,
     is_lower_path,
     is_upper_path,
     lambda_set,
+    point,
+    three_one,
     two_cell,
 )
 from opetope_kit.relations import closed_minus, closed_plus
@@ -131,6 +138,34 @@ def test_path_predicates(two2):
     assert not is_lower_path(two2, ["f1", "x1"])
     with pytest.raises(UnknownFaceReference):
         is_lower_path(two2, ["nope"])
+
+
+PATH_PREDICATES_SHA256 = "d8c4efd62c219d938379ef6dbf8b15629a17a69c4b851fdcc2050adf39d6e7e2"
+
+
+def test_path_predicates_are_pinned():
+    """Every sequence of up to four names, over the faces and one unknown
+    name, through both predicates: each call's result, or its exception's
+    type and message, feeds one digest.  The complexes are the point, the
+    arrow, ``two_cell(2)``, ``three_one`` and the 19 classes of (2, 5)."""
+    complexes = [point(), arrow(), two_cell(2), three_one(),
+                 *enumerate_pops(EnumerationBudget(2, 5))]
+    digest = hashlib.sha256()
+    calls = 0
+    for complex_ in complexes:
+        names = [*complex_.faces(), "nope"]
+        for length in range(5):
+            for seq in itertools.product(names, repeat=length):
+                for predicate in (is_lower_path, is_upper_path):
+                    try:
+                        outcome = str(predicate(complex_, seq))
+                    except UnknownFaceReference as err:
+                        outcome = f"{type(err).__name__}: {err}"
+                    line = f"{predicate.__name__} {' '.join(seq)} | {outcome}\n"
+                    digest.update(line.encode("utf-8"))
+                    calls += 1
+    assert calls == 74454
+    assert digest.hexdigest() == PATH_PREDICATES_SHA256
 
 
 def _upper_walk_pairs(complex_, k):
