@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Print how ``is_dfc`` scales on two families of dendritic cells.
 
-For chain-tree 3-cells of 300 / 600 / 1200 / 2400 nodes (a chain of binary
-nodes, each child plugged into its parent's first slot, so the first point
-is the source of every slot arrow) and for ``two_cell(n)`` with n = 250 /
-500 / 1000 / 2000, it prints the best of three ``is_dfc`` times and the
-adjacency entries ``is_dfc`` reads per face (the summed lengths of what
-``FaceComplex.covers``, ``cofaces`` and ``delta`` return).  A flat
-entries-per-face column means linear work.  Exits 1 only if a cell fails
-``is_dfc``; times are printed, never judged.  Takes a few seconds:
+For the chain-tree 3-cells of ``tests/helpers.py`` with 300 / 600 / 1200 /
+2400 nodes (a chain of binary nodes, each child plugged into its parent's
+first slot, so the first point is the source of every slot arrow) and for
+``two_cell(n)`` with n = 250 / 500 / 1000 / 2000, it prints the best of
+three ``is_dfc`` times and the adjacency entries ``is_dfc`` reads per face
+(the summed lengths of what ``FaceComplex.covers``, ``cofaces`` and
+``delta`` return).  A flat entries-per-face column means linear work.
+Exits 1 only if a cell fails ``is_dfc``; times are printed, never judged.
+Takes a few seconds:
 
     python3 scripts/dfc_ladder.py
 """
@@ -17,25 +18,13 @@ import pathlib
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from opetope_kit import (  # noqa: E402
-    FaceComplex,
-    RootedTree,
-    is_dfc,
-    three_cell_from_tree,
-    two_cell,
-)
+from helpers import chain_tree_cell  # noqa: E402
+from opetope_kit import FaceComplex, is_dfc, two_cell  # noqa: E402
 
 ACCESSORS = ("covers", "cofaces", "delta")
-
-
-def chain_tree_cell(n: int) -> FaceComplex:
-    nodes = [f"n{i:05d}" for i in range(n)]
-    arity = {node: frozenset({f"a{i:05d}", f"b{i:05d}"}) for i, node in enumerate(nodes)}
-    triplets = {(nodes[i], f"a{i:05d}", nodes[i + 1]) for i in range(n - 1)}
-    return three_cell_from_tree(
-        RootedTree(frozenset(nodes), arity, frozenset(triplets), nodes[0]))
 
 
 def entries_read(complex_: FaceComplex) -> int:

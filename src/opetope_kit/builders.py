@@ -81,8 +81,6 @@ def three_cell_from_tree(tree: RootedTree) -> FaceComplex:
     report = validate_rooted_tree(tree)
     if not report.passed:
         raise InvalidTree("; ".join(v.detail for v in report.violations))
-    if not tree.nodes:
-        raise InvalidTree("tree has no nodes")
     for node in sorted(tree.nodes):
         if not tree.arity.get(node):
             raise InvalidTree(f"node {node} has empty arity")

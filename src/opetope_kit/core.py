@@ -93,15 +93,15 @@ class AxiomReport:
         }
 
     @staticmethod
-    def merge(*reports: "AxiomReport") -> "AxiomReport":
-        out: list[Violation] = []
-        for rep in reports:
-            out.extend(rep.violations)
-        return AxiomReport(tuple(out))
-
-
-def _sorted_violations(violations: list[Violation]) -> tuple[Violation, ...]:
-    return tuple(sorted(violations, key=lambda v: (v.axiom, v.witnesses, v.detail)))
+    def of(violations, axioms: tuple[str, ...] | None = None) -> "AxiomReport":
+        """The report of ``violations``, sorted by axiom, witnesses and
+        detail.  With ``axioms``, only those axioms are kept, in that order."""
+        if axioms is None:
+            return AxiomReport(tuple(sorted(
+                violations, key=lambda v: (v.axiom, v.witnesses, v.detail))))
+        rank = {axiom: i for i, axiom in enumerate(axioms)}
+        return AxiomReport(tuple(sorted((v for v in violations if v.axiom in rank),
+                                        key=lambda v: (rank[v.axiom], v.witnesses, v.detail))))
 
 
 class _Faces(dict):
@@ -115,7 +115,7 @@ class _Faces(dict):
 
 
 def _validate(faces, target, sources, below=None):
-    """Check the base axioms; return (violations, dims, target, sources, new).
+    """Check the base axioms; return (report, dims, target, sources, new).
 
     Inputs are read in the order given: the report is sorted at the end.
     ``below``, when given, is a built complex that the faces are added to:
@@ -217,13 +217,12 @@ def _validate(faces, target, sources, below=None):
                 "Delta0NotFunctional", (x,),
                 f"dimension-1 face {x} has {len(src[x])} sources"))
 
-    return _sorted_violations(bad), dims, tgt, src, new
+    return AxiomReport.of(bad), dims, tgt, src, new
 
 
 def validate_complex_data(faces, target, sources) -> AxiomReport:
     """Run the base-axiom validation without constructing a complex."""
-    bad = _validate(faces, target, sources)[0]
-    return AxiomReport(bad)
+    return _validate(faces, target, sources)[0]
 
 
 class FaceComplex:
@@ -246,9 +245,9 @@ class FaceComplex:
     def __init__(self, faces, target, sources, *, extends: "FaceComplex | None" = None):
         if extends is not None and not extends._dims.keys().isdisjoint(chain(target, sources)):
             raise PreconditionViolation("an extension cannot redeclare a face it extends")
-        bad, dims, tgt, src, new = _validate(faces, target, sources, extends)
-        if bad:
-            raise InvalidComplex(AxiomReport(bad))
+        report, dims, tgt, src, new = _validate(faces, target, sources, extends)
+        if not report.passed:
+            raise InvalidComplex(report)
         if extends is None:
             strata: dict[int, tuple[str, ...]] = {}
             above: _Faces = _Faces()
@@ -514,4 +513,4 @@ def validate_morphism(m: Morphism) -> AxiomReport:
             bad.append(Violation(
                 "source-bijective", (a,),
                 f"sources of {a} do not map bijectively onto sources of {fa}"))
-    return AxiomReport(_sorted_violations(bad))
+    return AxiomReport.of(bad)

@@ -18,7 +18,6 @@ from .core import (
     AxiomReport,
     FaceComplex,
     Violation,
-    _sorted_violations,
     sign_product,
 )
 from .errors import (
@@ -163,7 +162,7 @@ def check_oriented_thinness(complex_: FaceComplex) -> AxiomReport:
                 _completion(z, y, x, alpha, beta, others)
             except LozengeError as err:
                 bad.append(Violation("oriented-thinness", (z, y, x), str(err)))
-    return AxiomReport(_sorted_violations(bad))
+    return AxiomReport.of(bad)
 
 
 def check_acyclicity(complex_: FaceComplex) -> AxiomReport:
@@ -185,7 +184,7 @@ def check_acyclicity(complex_: FaceComplex) -> AxiomReport:
             bad.append(Violation(
                 "acyclicity", tuple(cycle),
                 f"sources of {x} contain the cycle {' -> '.join(cycle + [cycle[0]])}"))
-    return AxiomReport(_sorted_violations(bad))
+    return AxiomReport.of(bad)
 
 
 def _directed_cycle(edges: dict[str, list[str]]) -> list[str]:
@@ -215,12 +214,11 @@ def _directed_cycle(edges: dict[str, list[str]]) -> list[str]:
 
 
 def is_dfc(complex_: FaceComplex) -> AxiomReport:
-    """Greatest element, oriented thinness and acyclicity together."""
-    return AxiomReport.merge(
-        check_greatest_element(complex_),
-        check_oriented_thinness(complex_),
-        check_acyclicity(complex_),
-    )
+    """Greatest element, oriented thinness and acyclicity together, each
+    block in its own order."""
+    return AxiomReport(check_greatest_element(complex_).violations
+                       + check_oriented_thinness(complex_).violations
+                       + check_acyclicity(complex_).violations)
 
 
 # -- rooted trees ---------------------------------------------------------
@@ -298,7 +296,7 @@ def validate_rooted_tree(tree: RootedTree) -> AxiomReport:
     bad: list[Violation] = []
     if tree.root not in tree.nodes:
         bad.append(Violation("rooted-tree", (tree.root,), f"root {tree.root} is not a node"))
-        return AxiomReport(_sorted_violations(bad))
+        return AxiomReport.of(bad)
     plugged: dict[tuple[str, str], str] = {}
     for a, b, c in sorted(tree.triplets):
         if a not in tree.nodes or c not in tree.nodes:
@@ -314,7 +312,7 @@ def validate_rooted_tree(tree: RootedTree) -> AxiomReport:
             continue
         plugged[(a, b)] = c
     if bad:
-        return AxiomReport(_sorted_violations(bad))
+        return AxiomReport.of(bad)
 
     parents = tree._ups
     for n in sorted(tree.nodes):
@@ -329,7 +327,7 @@ def validate_rooted_tree(tree: RootedTree) -> AxiomReport:
                 "rooted-tree", (n,),
                 f"node {n} has {len(ups)} descending paths to choose from"))
     if bad:
-        return AxiomReport(_sorted_violations(bad))
+        return AxiomReport.of(bad)
 
     # a walk ends at the first node known to reach the root; a failing walk
     # never meets one, so its witnesses are the whole walk
@@ -346,7 +344,7 @@ def validate_rooted_tree(tree: RootedTree) -> AxiomReport:
             seen.add(cur)
         else:
             reaching |= seen
-    return AxiomReport(_sorted_violations(bad))
+    return AxiomReport.of(bad)
 
 
 def _plus_cofaces(complex_: FaceComplex, z: str, among: frozenset[str]) -> list[str]:

@@ -45,7 +45,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import FaceComplex, validate_complex_data
+from .core import AxiomReport, FaceComplex, build_complex
 from .errors import BudgetTooLarge
 from .iso import Certificate, canonical_face_name, canonical_form, complex_from_certificate
 from .zpo import is_positive_opetope, principality_from_sources, settled_violations
@@ -81,8 +81,8 @@ def resolve_work_limit(work_limit: Optional[int]) -> int:
 
 
 class _WorkMeter:
-    """Counts the assignments tried and names where the walk is, so that
-    running over the limit says where it stopped."""
+    """Counts the profiles visited and assignments tried, and names where
+    the walk is, so that running over the limit says where it stopped."""
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -94,9 +94,9 @@ class _WorkMeter:
         if self.used > self.limit:
             raise BudgetTooLarge(
                 f"enumeration exceeded the work limit of {self.limit} at {self.where} "
-                f"(assignments tried: stages built, and candidate strata the "
-                f"opetope search rejects before building one; labelled "
-                f"assignments in the naive recount); "
+                f"(profiles visited and assignments tried: stages built, and "
+                f"candidate strata the opetope search rejects before building "
+                f"one; labelled assignments in the naive recount); "
                 f"raise {WORK_LIMIT_ENV} to allow more")
 
 
@@ -166,6 +166,8 @@ def _classes(budget: EnumerationBudget, meter: _WorkMeter,
     path: list[dict[Certificate, FaceComplex]] = []
     last: tuple[int, ...] = ()
     for profile in _profiles(budget, meter.limit):
+        meter.where = f"profile {profile}"
+        meter.tick()
         # One top face and Euler characteristic 1: see the module docstring.
         if opetopes_only and (profile[-1] != 1
                               or sum(profile[0::2]) - sum(profile[1::2]) != 1):
@@ -248,6 +250,7 @@ def naive_enumerate_pops(budget: EnumerationBudget,
     certs = set()
     for profile in _profiles(budget, meter.limit):
         meter.where = f"profile {profile}"
+        meter.tick()
         names = _stratum_names(profile)
         spaces = []
         for k in range(1, len(profile)):
@@ -266,8 +269,8 @@ def naive_enumerate_pops(budget: EnumerationBudget,
                 for i, (t, srcs) in enumerate(stratum_choice):
                     target[names[k][i]] = t
                     sources[names[k][i]] = srcs
-            if not validate_complex_data(faces, target, sources).passed:
-                continue
-            certs.add(canonical_form(FaceComplex(faces, target, sources)))
+            built = build_complex(faces, target, sources)
+            if not isinstance(built, AxiomReport):
+                certs.add(canonical_form(built))
     ordered = sorted(certs, key=lambda c: (sum(c[0]), len(c[0]), c))
     return [complex_from_certificate(c) for c in ordered]

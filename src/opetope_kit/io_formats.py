@@ -166,10 +166,6 @@ def emit_dsl(complex_: FaceComplex) -> str:
 # -- JSON -----------------------------------------------------------------
 
 
-def _shape_error(path: str, detail: str) -> JsonShapeError:
-    return JsonShapeError(path, detail)
-
-
 def parse_json(text: str) -> ComplexDocument:
     """Parse and shape-check the JSON format.
 
@@ -182,70 +178,70 @@ def parse_json(text: str) -> ComplexDocument:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:
-        raise _shape_error("$", f"not valid JSON: {err}") from None
+        raise JsonShapeError("$", f"not valid JSON: {err}") from None
     if not isinstance(data, dict):
-        raise _shape_error("$", "top level must be an object")
+        raise JsonShapeError("$", "top level must be an object")
     allowed = {"faces", "target", "sources", "name", "description"}
     for key in sorted(data):
         if key not in allowed:
-            raise _shape_error(key, "unknown key")
+            raise JsonShapeError(key, "unknown key")
     if "faces" not in data:
-        raise _shape_error("faces", "missing")
+        raise JsonShapeError("faces", "missing")
     faces = data["faces"]
     if not isinstance(faces, dict):
-        raise _shape_error("faces", "must be an object mapping names to dimensions")
+        raise JsonShapeError("faces", "must be an object mapping names to dimensions")
     dims: dict[str, int] = {}
     for name in sorted(faces):
         dim = faces[name]
         if not is_valid_face_name(name):
-            raise _shape_error(f"faces.{name}", "invalid face name")
+            raise JsonShapeError(f"faces.{name}", "invalid face name")
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-            raise _shape_error(f"faces.{name}", "dimension must be a nonnegative integer")
+            raise JsonShapeError(f"faces.{name}", "dimension must be a nonnegative integer")
         dims[name] = dim
 
     target = data.get("target", {})
     if not isinstance(target, dict):
-        raise _shape_error("target", "must be an object")
+        raise JsonShapeError("target", "must be an object")
     for name in sorted(target):
         if name not in dims:
-            raise _shape_error(f"target.{name}", "not a declared face")
+            raise JsonShapeError(f"target.{name}", "not a declared face")
         if dims[name] == 0:
-            raise _shape_error(f"target.{name}", "dimension-0 faces take no target")
+            raise JsonShapeError(f"target.{name}", "dimension-0 faces take no target")
         value = target[name]
         if not isinstance(value, str) or value not in dims:
-            raise _shape_error(f"target.{name}", "value must be a declared face name")
+            raise JsonShapeError(f"target.{name}", "value must be a declared face name")
 
     sources = data.get("sources", {})
     if not isinstance(sources, dict):
-        raise _shape_error("sources", "must be an object")
+        raise JsonShapeError("sources", "must be an object")
     parsed_sources: dict[str, list[str]] = {}
     for name in sorted(sources):
         if name not in dims:
-            raise _shape_error(f"sources.{name}", "not a declared face")
+            raise JsonShapeError(f"sources.{name}", "not a declared face")
         if dims[name] == 0:
-            raise _shape_error(f"sources.{name}", "dimension-0 faces take no sources")
+            raise JsonShapeError(f"sources.{name}", "dimension-0 faces take no sources")
         value = sources[name]
         if not isinstance(value, list) or not value:
-            raise _shape_error(f"sources.{name}", "must be a nonempty array of face names")
+            raise JsonShapeError(f"sources.{name}", "must be a nonempty array of face names")
         seen: set[str] = set()
         for i, entry in enumerate(value):
             if not isinstance(entry, str) or entry not in dims:
-                raise _shape_error(f"sources.{name}[{i}]", "must be a declared face name")
+                raise JsonShapeError(f"sources.{name}[{i}]", "must be a declared face name")
             if entry in seen:
-                raise _shape_error(f"sources.{name}[{i}]", f"face {entry} listed twice")
+                raise JsonShapeError(f"sources.{name}[{i}]", f"face {entry} listed twice")
             seen.add(entry)
         parsed_sources[name] = list(value)
 
     for name in sorted(dims):
         if dims[name] >= 1:
             if name not in target:
-                raise _shape_error(f"target.{name}", "missing")
+                raise JsonShapeError(f"target.{name}", "missing")
             if name not in parsed_sources:
-                raise _shape_error(f"sources.{name}", "missing")
+                raise JsonShapeError(f"sources.{name}", "missing")
 
     for key in ("name", "description"):
         if key in data and not isinstance(data[key], str):
-            raise _shape_error(key, "must be a string")
+            raise JsonShapeError(key, "must be a string")
     return ComplexDocument(
         faces=sorted(dims.items()),
         target=dict(sorted(target.items())),

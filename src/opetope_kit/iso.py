@@ -275,27 +275,18 @@ def canonical_face_name(k: int, i: int) -> str:
 def complex_from_certificate(cert: Certificate) -> FaceComplex:
     """Rebuild the canonical representative named ``x<dim>_<index>``."""
     profile, rows = cert
-    offsets = [0]
-    for count in profile:
-        offsets.append(offsets[-1] + count)
-
-    def name_of(label: int) -> str:
-        for k in range(len(profile)):
-            if label < offsets[k + 1]:
-                return canonical_face_name(k, label - offsets[k])
-        raise ValueError(f"label {label} out of range")
-
     faces = {}
     for k, count in enumerate(profile):
         for i in range(count):
             faces[canonical_face_name(k, i)] = k
+    names = dict(enumerate(faces))  # label -> name; a bad label raises KeyError
     target = {}
     sources = {}
     for k in range(1, len(profile)):
         for i, (gamma_label, delta_labels) in enumerate(rows[k - 1]):
             me = canonical_face_name(k, i)
-            target[me] = name_of(gamma_label)
-            sources[me] = frozenset(name_of(lbl) for lbl in delta_labels)
+            target[me] = names[gamma_label]
+            sources[me] = frozenset(names[lbl] for lbl in delta_labels)
     return FaceComplex(faces, target, sources)
 
 

@@ -101,8 +101,8 @@ def simple_zigzag(complex_: FaceComplex, anchor: str, start: str, end: str) -> Z
     """The unique simple zig-zag between two sources of ``anchor``.
 
     Computed on the face tree of the anchor: climb from ``start`` to the
-    meet of the two nodes, then descend to ``end``.  Climbing junctions
-    carry '+', descending ones '-'.
+    meet of the two nodes, then descend to ``end``.  Each junction on the
+    climb carries '+', each on the descent '-'.
     """
     tree = face_tree(complex_, anchor)
     for c in (start, end):

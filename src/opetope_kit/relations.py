@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .core import MINUS, PLUS, FaceComplex
-from .errors import DimensionOutOfRange, DimensionTooLow, UnknownFaceReference
+from .errors import DimensionOutOfRange, DimensionTooLow
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,6 @@ class FacePath:
 
     kind: str  # "lower" or "upper"
     faces: tuple[str, ...]
-
-    @property
-    def junctions(self) -> int:
-        return (len(self.faces) - 1) // 2
 
     def holds_in(self, complex_: FaceComplex) -> bool:
         if self.kind == "lower":
@@ -179,54 +175,30 @@ def iota(complex_: FaceComplex, x: str) -> frozenset[str]:
     return dd & gd
 
 
-def _check_known(complex_: FaceComplex, seq) -> None:
-    for name in seq:
-        if name not in complex_:
-            raise UnknownFaceReference(f"unknown face {name!r}")
+def _alternates(complex_: FaceComplex, seq, step: int, junction) -> bool:
+    """Whether ``seq`` has odd length, alternates between the dimension
+    ``k`` of its first face and ``k + step``, and ``junction`` holds on each
+    triple from an even position.  Every name is looked up first, so an
+    unknown one raises :class:`UnknownFaceReference`."""
+    seq = list(seq)
+    dims = [complex_.dim(name) for name in seq]
+    if len(seq) % 2 == 0:
+        return False
+    if any(d != dims[0] + step * (i % 2) for i, d in enumerate(dims)):
+        return False
+    return all(junction(*seq[i:i + 3]) for i in range(0, len(seq) - 2, 2))
 
 
 def is_lower_path(complex_: FaceComplex, seq) -> bool:
     """Alternating sequence x0, y0, x1, ..., xp where each x emits its
     target y which feeds the next x as a source.  Singletons are trivially
     paths."""
-    seq = list(seq)
-    _check_known(complex_, seq)
-    if not seq:
-        return False
-    if len(seq) == 1:
-        return True
-    if len(seq) % 2 == 0:
-        return False
-    k = complex_.dim(seq[0])
-    if k < 1:
-        return False
-    for i, name in enumerate(seq):
-        if complex_.dim(name) != (k if i % 2 == 0 else k - 1):
-            return False
-    for i in range(0, len(seq) - 2, 2):
-        x, y, x2 = seq[i], seq[i + 1], seq[i + 2]
-        if complex_.gamma(x) != y or y not in complex_.delta(x2):
-            return False
-    return True
+    return _alternates(complex_, seq, -1, lambda x, y, x2: complex_.gamma(x) == y
+                       and y in complex_.delta(x2))
 
 
 def is_upper_path(complex_: FaceComplex, seq) -> bool:
     """Alternating sequence y0, x1, y1, ..., xp, yp where each y is a
     source of the next x and each x emits the following y as its target."""
-    seq = list(seq)
-    _check_known(complex_, seq)
-    if not seq:
-        return False
-    if len(seq) == 1:
-        return True
-    if len(seq) % 2 == 0:
-        return False
-    k = complex_.dim(seq[0])
-    for i, name in enumerate(seq):
-        if complex_.dim(name) != (k if i % 2 == 0 else k + 1):
-            return False
-    for i in range(0, len(seq) - 2, 2):
-        y, x, y2 = seq[i], seq[i + 1], seq[i + 2]
-        if y not in complex_.delta(x) or complex_.gamma(x) != y2:
-            return False
-    return True
+    return _alternates(complex_, seq, 1, lambda y, x, y2: y in complex_.delta(x)
+                       and complex_.gamma(x) == y2)

@@ -29,13 +29,6 @@ def _fmt(names) -> str:
     return "{" + ", ".join(sorted(names)) + "}"
 
 
-def _report(violations: Iterable[Violation], axioms: tuple[str, ...]) -> AxiomReport:
-    """One block per axiom, in the order of ``axioms``, each block sorted."""
-    rank = {axiom: i for i, axiom in enumerate(axioms)}
-    return AxiomReport(tuple(sorted((v for v in violations if v.axiom in rank),
-                                    key=lambda v: (rank[v.axiom], v.witnesses, v.detail))))
-
-
 def _globularity(complex_: FaceComplex, k: int) -> Iterator[Violation]:
     if k < 2:
         return
@@ -215,33 +208,33 @@ def check_globularity(complex_: FaceComplex) -> AxiomReport:
     the target is the one source-target that is not a source of a source,
     and the sources of the target are the sources of sources that are not
     source-targets."""
-    return _report((v for k in range(2, complex_.dimension + 1)
-                    for v in _globularity(complex_, k)), ("globularity",))
+    return AxiomReport.of((v for k in range(2, complex_.dimension + 1)
+                           for v in _globularity(complex_, k)), ("globularity",))
 
 
 def check_strictness(complex_: FaceComplex) -> AxiomReport:
     """No stratum may carry a plus-cycle, and any two distinct faces of
     dimension 0 must be plus-comparable."""
-    return _report(_at_each_level(complex_, _strictness), ("strictness",))
+    return AxiomReport.of(_at_each_level(complex_, _strictness), ("strictness",))
 
 
 def check_disjointness(complex_: FaceComplex) -> AxiomReport:
     """Above dimension 0 no pair of faces may be comparable in both the
     plus and the minus order."""
-    return _report(_at_each_level(complex_, _disjointness), ("disjointness",))
+    return AxiomReport.of(_at_each_level(complex_, _disjointness), ("disjointness",))
 
 
 def check_pencil_linearity(complex_: FaceComplex) -> AxiomReport:
     """For every face y, the faces one dimension up having y as target,
     and those having y as a source, must each be totally plus-ordered."""
-    return _report(_at_each_level(complex_, _pencil_linearity), ("pencil-linearity",))
+    return AxiomReport.of(_at_each_level(complex_, _pencil_linearity), ("pencil-linearity",))
 
 
 def check_principality(complex_: FaceComplex) -> AxiomReport:
     """Each stratum must contain exactly one face that is a source of no
     face above (for the top stratum, that leaves the whole stratum)."""
-    return _report((v for k in range(complex_.dimension + 1)
-                    for v in _principality(complex_, k)), ("principality",))
+    return AxiomReport.of((v for k in range(complex_.dimension + 1)
+                           for v in _principality(complex_, k)), ("principality",))
 
 
 def _all_levels(complex_: FaceComplex) -> Iterator[Violation]:
@@ -251,9 +244,9 @@ def _all_levels(complex_: FaceComplex) -> Iterator[Violation]:
 
 def is_opetopic_cardinal(complex_: FaceComplex) -> AxiomReport:
     """Globularity, strictness, disjointness and pencil linearity."""
-    return _report(_all_levels(complex_), _AXIOMS[:-1])
+    return AxiomReport.of(_all_levels(complex_), _AXIOMS[:-1])
 
 
 def is_positive_opetope(complex_: FaceComplex) -> AxiomReport:
     """An opetopic cardinal that is also principal."""
-    return _report(_all_levels(complex_), _AXIOMS)
+    return AxiomReport.of(_all_levels(complex_), _AXIOMS)

@@ -143,6 +143,14 @@ def test_tree_dot_output(two2_json, capsys):
     assert '"f1" -> "f2" [label="x1"];' in out
 
 
+@pytest.mark.parametrize("extra", [[], ["--dot"]])
+def test_tree_unknown_face_exits_1(two2_json, capsys, extra):
+    assert main(["tree", two2_json, "--face", "nope", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "unknown face 'nope'\n"
+
+
 def test_partition_output(two2_dsl, capsys):
     assert main(["partition", two2_dsl, "--dim", "0"]) == 0
     assert capsys.readouterr().out == "f1: x0\nf2: x1\nleftover: x2\n"

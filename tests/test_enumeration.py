@@ -129,28 +129,31 @@ def test_work_limit_guardrail():
 
 
 def test_work_limit_counts_stages_built():
-    # 6 dimension-0 bases plus 245 extensions of class representatives
+    # 41 profiles visited, 6 dimension-0 bases and 245 extensions of class
+    # representatives
     budget = EnumerationBudget(2, 6)
-    assert len(list(enumerate_pops(budget, work_limit=251))) == 57
+    assert len(list(enumerate_pops(budget, work_limit=292))) == 57
     with pytest.raises(BudgetTooLarge, match="stages built"):
-        list(enumerate_pops(budget, work_limit=250))
+        list(enumerate_pops(budget, work_limit=291))
 
 
 def test_work_limit_counts_assignments_tried():
-    """The opetope search ticks once per assignment tried, whether or not
-    its source sets rule the stage out before it is built.  At (3, 8) the
-    smallest limit is set by the 162 stratum-size profiles, at (4, 9) by
-    the 2 457 assignments tried; both were measured while every tried
-    assignment was still built."""
+    """The opetope search ticks once per profile visited and once per
+    assignment tried, whether or not its source sets rule the stage out
+    before it is built.  At (3, 8) the smallest limit is the 162 stratum-size
+    profiles plus 121 assignments tried, at (4, 9) the 381 profiles plus
+    2 457 assignments; the walk runs out at its last profile.  The naive
+    recount at (1, 3) visits 6 profiles and tries 9 labelled assignments."""
     for budget, smallest, opetopes, stop in (
-            ((3, 8), 162, 5, "more than 161 stratum-size profiles, over the work limit"),
-            ((4, 9), 2457, 9, r"work limit of 2456 at profile \(4, 4, 1\), stratum 2 \(")):
+            ((3, 8), 283, 5, r"work limit of 282 at profile \(8,\) \("),
+            ((4, 9), 2838, 9, r"work limit of 2837 at profile \(9,\) \(")):
         budget = EnumerationBudget(*budget)
         assert len(list(enumerate_positive_opetopes(budget, work_limit=smallest))) == opetopes
         with pytest.raises(BudgetTooLarge, match=stop):
             list(enumerate_positive_opetopes(budget, work_limit=smallest - 1))
-    with pytest.raises(BudgetTooLarge, match=r"at profile \(2, 1\) \("):
-        naive_enumerate_pops(EnumerationBudget(1, 3), work_limit=7)
+    assert len(naive_enumerate_pops(EnumerationBudget(1, 3), work_limit=15)) == 4
+    with pytest.raises(BudgetTooLarge, match=r"at profile \(3,\) \("):
+        naive_enumerate_pops(EnumerationBudget(1, 3), work_limit=14)
 
 
 def test_work_limit_env(monkeypatch):
