@@ -177,9 +177,6 @@ def cmd_order(args) -> int:
 
 def cmd_partition(args) -> int:
     complex_ = _require_dfc(args)
-    if not 0 <= args.dim < complex_.dimension:
-        print(f"--dim must lie in [0, {complex_.dimension})", file=sys.stderr)
-        return FAIL
     blocks = sources_partition(complex_, args.dim)
     for owner in sorted(blocks):
         print(f"{owner}: " + " ".join(sorted(blocks[owner])))
@@ -190,14 +187,6 @@ def cmd_partition(args) -> int:
 
 def cmd_zigzag(args) -> int:
     complex_ = _require_dfc(args)
-    for face in (args.anchor, args.from_, args.to):
-        if face not in complex_:
-            print(f"unknown face {face!r}", file=sys.stderr)
-            return FAIL
-    if args.from_ not in complex_.delta(args.anchor) or \
-            args.to not in complex_.delta(args.anchor):
-        print("--from and --to must be sources of the anchor", file=sys.stderr)
-        return FAIL
     print(simple_zigzag(complex_, args.anchor, args.from_, args.to).render())
     return PASS
 

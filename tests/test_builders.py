@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from opetope_kit import (
@@ -17,6 +19,11 @@ from opetope_kit import (
     three_one,
     two_cell,
 )
+from opetope_kit import dfc, zpo
+from opetope_kit.io_formats import emit_json
+
+from helpers import chain_tree_cell
+from test_equivalence_random import random_tree
 
 
 def test_two_cell_layout(two2):
@@ -119,3 +126,31 @@ def test_corpus_fixture_names():
         "three_fork", "three_nested"}
     assert fixtures["point"] == point()
     assert fixtures["arrow"] == arrow()
+
+
+# SHA-256 over emit_json of the tree-built 3-cells of the three fixture
+# trees, random_tree(seed) for seeds 0-299 and chain_tree_cell(n) for
+# n = 1, 2, 5, 40 and 300, computed before the builder's single span walk.
+TREE_CELLS_SHA256 = "d17190488baed7f8405c2abb5d25718e5bf2f8c8ee2ff99534af8da76983914f"
+
+
+def test_tree_cells_are_pinned():
+    cells = [three_cell_from_tree(tree)
+             for tree in (chain_tree(), fork_tree(), nested_tree())]
+    cells.extend(three_cell_from_tree(random_tree(seed)) for seed in range(300))
+    cells.extend(chain_tree_cell(n) for n in (1, 2, 5, 40, 300))
+    digest = hashlib.sha256()
+    for cell in cells:
+        digest.update(emit_json(cell).encode("utf-8") + b"\n")
+    assert len(cells) == 308
+    assert digest.hexdigest() == TREE_CELLS_SHA256
+
+
+def test_tree_builder_calls_no_checker(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree builder ran a checker")
+
+    monkeypatch.setattr(zpo, "_all_levels", refuse)
+    monkeypatch.setattr(dfc, "is_dfc", refuse)
+    for tree in (chain_tree(), fork_tree(), nested_tree()):
+        assert three_cell_from_tree(tree).dimension == 3

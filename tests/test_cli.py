@@ -175,6 +175,25 @@ def test_zigzag_precondition(two2_dsl, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["zigzag", "--anchor", "alpha", "--from", "h", "--to", "f1"],
+     "h is not a source of alpha"),
+    (["zigzag", "--anchor", "alpha", "--from", "nope", "--to", "f1"],
+     "nope is not a source of alpha"),
+    (["zigzag", "--anchor", "x0", "--from", "f1", "--to", "f2"],
+     "face x0 has dimension 0"),
+    (["zigzag", "--anchor", "nope", "--from", "f1", "--to", "f2"],
+     "unknown face 'nope'"),
+    (["partition", "--dim", "2"], "partition needs 0 <= 2 < dim = 2"),
+    (["partition", "--dim", "-1"], "partition needs 0 <= -1 < dim = 2"),
+])
+def test_command_preconditions_come_from_the_library(two2_dsl, capsys, argv, message):
+    assert main([argv[0], two2_dsl, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_enumerate_count(capsys):
     assert main(["enumerate", "--max-dim", "2", "--max-faces", "7",
                  "--opetopes-only", "--count-only"]) == 0

@@ -244,11 +244,14 @@ def test_known_opetopes_have_euler_characteristic_one(enumerated):
 def _built_stages(monkeypatch, run):
     built = []
 
-    def recording(*args, **kwargs):
-        built.append((FaceComplex(*args, **kwargs), "extends" in kwargs))
-        return built[-1][0]
+    class Recording(FaceComplex):
+        __slots__ = ()
 
-    monkeypatch.setattr(enumeration, "FaceComplex", recording)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append((self, "extends" in kwargs))
+
+    monkeypatch.setattr(enumeration, "FaceComplex", Recording)
     run()
     return built
 
