@@ -7,7 +7,8 @@ first slot, so the first point is the source of every slot arrow) and for
 ``two_cell(n)`` with n = 250 / 500 / 1000 / 2000, it prints the best of
 three ``is_dfc`` times and the adjacency entries ``is_dfc`` reads per face
 (the summed lengths of what ``FaceComplex.covers``, ``cofaces`` and
-``delta`` return).  A flat entries-per-face column means linear work.
+``delta`` return, and of both tuples ``pencils`` returns).  A flat
+entries-per-face column means linear work.
 Exits 1 only if a cell fails ``is_dfc``; times are printed, never judged.
 Takes a few seconds:
 
@@ -24,7 +25,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from helpers import chain_tree_cell  # noqa: E402
 from opetope_kit import FaceComplex, is_dfc, two_cell  # noqa: E402
 
-ACCESSORS = ("covers", "cofaces", "delta")
+# each counted accessor, with the number of entries in what it returns
+ACCESSORS = {"covers": len, "cofaces": len, "delta": len,
+             "pencils": lambda pencils: len(pencils[0]) + len(pencils[1])}
 
 
 def entries_read(complex_: FaceComplex) -> int:
@@ -32,16 +35,16 @@ def entries_read(complex_: FaceComplex) -> int:
     reads = 0
     originals = {name: getattr(FaceComplex, name) for name in ACCESSORS}
 
-    def counting(method):
+    def counting(method, size):
         def wrapped(self, name):
             nonlocal reads
             out = method(self, name)
-            reads += len(out)
+            reads += size(out)
             return out
         return wrapped
 
     for name, method in originals.items():
-        setattr(FaceComplex, name, counting(method))
+        setattr(FaceComplex, name, counting(method, ACCESSORS[name]))
     try:
         is_dfc(complex_)
     finally:

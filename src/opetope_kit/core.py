@@ -240,7 +240,7 @@ class FaceComplex:
     data, but only the new faces are validated.
     """
 
-    __slots__ = ("_dims", "_strata", "_target", "_sources", "_above")
+    __slots__ = ("_dims", "_strata", "_target", "_sources", "_pencils")
 
     def __init__(self, faces, target, sources, *, extends: "FaceComplex | None" = None):
         if extends is not None and not extends._dims.keys().isdisjoint(chain(target, sources)):
@@ -250,34 +250,34 @@ class FaceComplex:
             raise InvalidComplex(report)
         if extends is None:
             strata: dict[int, tuple[str, ...]] = {}
-            above: _Faces = _Faces()
+            pencils: _Faces = _Faces()
             cited: tuple[str, ...] = ()
         else:
             top = extends.dimension
             if not {top + 1}.issuperset(map(dims.__getitem__, new)):
                 raise PreconditionViolation(f"an extension adds faces of dimension {top + 1} only")
-            strata, above = dict(extends._strata), _Faces(extends._above)
+            strata, pencils = dict(extends._strata), _Faces(extends._pencils)
             cited = extends._strata[top]
         # One pass in name order: each stratum comes out sorted, and so do
-        # the cofaces of each face, since they share one dimension and a
-        # face covers another with one sign only (no SignClash).  An
-        # extension only gives cofaces to its old top faces, which had none.
+        # the two pencils of each face.  An extension only gives pencils to
+        # its old top faces, which had empty ones.
         layers: dict[int, list[str]] = {}
-        cofaces: dict[str, list[tuple[str, str]]] = {x: [] for x in chain(cited, new)}
+        above: dict[str, tuple[list[str], list[str]]] = {x: ([], []) for x in chain(cited, new)}
         for x in sorted(new):
             layers.setdefault(dims[x], []).append(x)
             if x in tgt:
-                cofaces[tgt[x]].append((x, PLUS))
+                above[tgt[x]][0].append(x)
                 for y in src[x]:
-                    cofaces[y].append((x, MINUS))
+                    above[y][1].append(x)
         for k in sorted(layers):
             strata[k] = tuple(layers[k])
-        above.update(zip(cofaces, map(tuple, cofaces.values())))
+        for y, (t, s) in above.items():
+            pencils[y] = (tuple(t), tuple(s))
         self._dims = dims
         self._target = tgt
         self._sources = src
         self._strata = strata
-        self._above = above
+        self._pencils = pencils
 
     # -- basic queries -------------------------------------------------
 
@@ -359,9 +359,16 @@ class FaceComplex:
         out.append((self._target[x], PLUS))
         return tuple(sorted(out))
 
+    def pencils(self, y: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The faces whose target is ``y`` and those with ``y`` among their
+        sources, each sorted: the target and the source pencil of ``y``."""
+        return self._pencils[y]
+
     def cofaces(self, y: str) -> tuple[tuple[str, str], ...]:
-        """Faces covering ``y`` as sorted (face, sign) pairs."""
-        return self._above[y]
+        """Faces covering ``y`` as sorted (face, sign) pairs: the signed
+        merge of its pencils, which share no face (no SignClash)."""
+        targets, sources = self._pencils[y]
+        return tuple(sorted([(x, PLUS) for x in targets] + [(x, MINUS) for x in sources]))
 
     def downset(self, x: str) -> frozenset[str]:
         """All faces reachable downward from ``x``, including ``x``."""

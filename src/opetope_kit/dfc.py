@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (
+    MINUS,
     PLUS,
     AxiomReport,
     FaceComplex,
@@ -36,12 +37,8 @@ from .errors import (
 
 def greatest_element(complex_: FaceComplex) -> str | None:
     """The face whose downward closure is the whole complex, or None."""
-    top = complex_.stratum(complex_.dimension)
-    if len(top) != 1:
-        return None
-    candidate = top[0]
-    if len(complex_.downset(candidate)) == len(complex_):
-        return candidate
+    if check_greatest_element(complex_).passed:
+        return complex_.stratum(complex_.dimension)[0]
     return None
 
 
@@ -114,12 +111,12 @@ def _completion(bottom: str, left: str, top: str, alpha: str, beta: str,
 def complete_half_lozenge(complex_: FaceComplex, bottom: str, left: str, top: str) -> Lozenge:
     """Find the unique second face between ``bottom`` and ``top``.
 
-    Only the cofaces of ``bottom`` are looked at: the candidates are those
-    other than ``left`` that ``top`` covers.  Raises ``NoCompletion`` /
-    ``AmbiguousCompletion`` when zero or several candidates exist and
-    ``SignRuleViolation`` when the single candidate breaks the sign rule;
-    each exception is a ready-made witness for the oriented-thinness
-    check.
+    Only the two pencils of ``bottom`` are looked at: the candidates are
+    the faces in them other than ``left`` that ``top`` covers.  Raises
+    ``NoCompletion`` / ``AmbiguousCompletion`` when zero or several
+    candidates exist and ``SignRuleViolation`` when the single candidate
+    breaks the sign rule; each exception is a ready-made witness for the
+    oriented-thinness check.
     """
     beta = complex_.cover_sign(bottom, left)
     alpha = complex_.cover_sign(left, top)
@@ -127,12 +124,13 @@ def complete_half_lozenge(complex_: FaceComplex, bottom: str, left: str, top: st
         raise PreconditionViolation(
             f"{bottom} < {left} < {top} is not a two-step chain")
     others = []
-    for y, beta2 in complex_.cofaces(bottom):
-        if y == left:
-            continue
-        alpha2 = complex_.cover_sign(y, top)
-        if alpha2 is not None:
-            others.append((y, alpha2, beta2))
+    for beta2, pencil in zip((PLUS, MINUS), complex_.pencils(bottom)):
+        for y in pencil:
+            if y == left:
+                continue
+            alpha2 = complex_.cover_sign(y, top)
+            if alpha2 is not None:
+                others.append((y, alpha2, beta2))
     right, signs = _completion(bottom, left, top, alpha, beta, others)
     return Lozenge(top, left, right, bottom, signs)
 
@@ -146,7 +144,7 @@ def check_oriented_thinness(complex_: FaceComplex) -> AxiomReport:
     faces other than ``y`` that cover ``z`` and are covered by ``x``; each
     of them is the middle face of a chain from ``z`` to ``x``, so they are
     exactly the other entries of ``z``'s group, with the same signs that
-    ``complete_half_lozenge`` reads from the cofaces of ``z``.
+    ``complete_half_lozenge`` reads from the pencils of ``z``.
     """
     bad: list[Violation] = []
     for x in complex_.faces():
@@ -349,11 +347,6 @@ def validate_rooted_tree(tree: RootedTree) -> AxiomReport:
     return AxiomReport.of(bad)
 
 
-def _plus_cofaces(complex_: FaceComplex, z: str, among: frozenset[str]) -> list[str]:
-    """The faces in ``among`` whose target is ``z``, sorted."""
-    return [y for y, sign in complex_.cofaces(z) if sign == PLUS and y in among]
-
-
 def face_tree(complex_: FaceComplex, x: str) -> RootedTree:
     """The rooted tree carried by the sources of ``x``.
 
@@ -372,12 +365,12 @@ def face_tree(complex_: FaceComplex, x: str) -> RootedTree:
         for y in nodes
     }
     triplets = {(y, z, y2) for y in nodes for z in arity[y]
-                for y2 in _plus_cofaces(complex_, z, nodes)}
+                for y2 in complex_.pencils(z)[0] if y2 in nodes}
     if complex_.dim(x) == 1:
         (root,) = nodes
     else:
         anchor = complex_.gamma(complex_.gamma(x))
-        roots = _plus_cofaces(complex_, anchor, nodes)
+        roots = [y for y in complex_.pencils(anchor)[0] if y in nodes]
         if len(roots) != 1:
             raise InternalInvariantBroken(
                 f"{len(roots)} root candidates among sources of {x}")

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import PLUS, FaceComplex
+from .core import FaceComplex
 
 Certificate = tuple
 
@@ -72,11 +72,9 @@ class _Index:
         for x in names[points:]:
             self.target.append(position[complex_.gamma(x)])
             self.sources.append(tuple(sorted([position[y] for y in complex_.delta(x)])))
-        self.plus, self.minus = [], []
-        for x in names:
-            ups = complex_.cofaces(x)
-            self.plus.append(tuple([position[w] for w, sign in ups if sign == PLUS]))
-            self.minus.append(tuple([position[w] for w, sign in ups if sign != PLUS]))
+        pencils = [complex_.pencils(x) for x in names]
+        self.plus = [tuple([position[w] for w in targets]) for targets, _ in pencils]
+        self.minus = [tuple([position[w] for w in sources]) for _, sources in pencils]
         # Every face adjacent to each face; a point's stand-in target is not.
         self.around = [self.sources[x] + self.plus[x] + self.minus[x] for x in range(n)]
         for x in range(points, n):

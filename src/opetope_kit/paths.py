@@ -150,8 +150,7 @@ def linear_order_s0(complex_: FaceComplex) -> list[str]:
     order = [starts[0]]
     seen = {starts[0]}
     while True:
-        steps = [w for w, sign in complex_.cofaces(order[-1])
-                 if sign == MINUS and w in non_targets]
+        steps = [w for w in complex_.pencils(order[-1])[1] if w in non_targets]
         if not steps:
             break
         if len(steps) > 1:

@@ -116,17 +116,12 @@ def _successors(complex_: FaceComplex, k: int, sign: str
     the position of each face and the positions each face steps to."""
     faces = complex_.stratum(k)
     index = dict(zip(faces, range(len(faces))))
-    succ: list[list[int]] = [[] for _ in faces]
     if sign == PLUS:
-        for w in complex_.stratum(k + 1):
-            t = index[complex_.gamma(w)]
-            for x in complex_.delta(w):
-                succ[index[x]].append(t)
+        succ = [[index[complex_.gamma(w)] for w in complex_.pencils(x)[1]] for x in faces]
     elif k > 0:
-        for i, x in enumerate(faces):
-            for x2, s in complex_.cofaces(complex_.gamma(x)):
-                if s == MINUS:
-                    succ[i].append(index[x2])
+        succ = [[index[w] for w in complex_.pencils(complex_.gamma(x))[1]] for x in faces]
+    else:
+        succ = [[] for _ in faces]
     return faces, index, succ
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import MINUS, PLUS, AxiomReport, FaceComplex, Violation
+from .core import AxiomReport, FaceComplex, Violation
 from .relations import ClosedRelation, boundary_sets, closed_minus, closed_plus
 
 _AXIOMS = ("globularity", "strictness", "disjointness", "pencil-linearity",
@@ -141,14 +141,10 @@ def _pencil_linearity(complex_: FaceComplex, k: int,
                       plus: ClosedRelation) -> Iterator[Violation]:
     faces, index = plus.faces, plus.index
     for y in complex_.stratum(k - 1):
-        cofaces = complex_.cofaces(y)
-        if len(cofaces) < 2:
-            continue
-        for label, sign in (("target", PLUS), ("source", MINUS)):
-            pencil = [index[x] for x, s in cofaces if s == sign]
+        for label, pencil in zip(("target", "source"), complex_.pencils(y)):
             if len(pencil) < 2:
                 continue
-            for i, j in _incomparable(plus, pencil):
+            for i, j in _incomparable(plus, [index[x] for x in pencil]):
                 x, x2 = faces[i], faces[j]
                 yield Violation(
                     "pencil-linearity", (y, x, x2),

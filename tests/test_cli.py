@@ -194,6 +194,47 @@ def test_command_preconditions_come_from_the_library(two2_dsl, capsys, argv, mes
     assert captured.err == message + "\n"
 
 
+_ARROW_JSON = {"faces": {"x": 0, "y": 0, "f": 1}, "target": {"f": "y"},
+               "sources": {"f": ["x"]}}
+
+
+def _arrow_json(**changes):
+    """The arrow as JSON text, with the given top-level keys replaced."""
+    return json.dumps({**_ARROW_JSON, **changes})
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("validate", "[]", "at $: top level must be an object"),
+    ("validate", "{}", "at faces: missing"),
+    ("validate", '{"faces": []}', "at faces: must be an object mapping names to dimensions"),
+    ("validate", _arrow_json(target=[]), "at target: must be an object"),
+    ("validate", _arrow_json(sources=[]), "at sources: must be an object"),
+    ("validate", _arrow_json(sources={"f": ["x"], "x": ["y"]}),
+     "at sources.x: dimension-0 faces take no sources"),
+    ("validate", _arrow_json(sources={"f": []}),
+     "at sources.f: must be a nonempty array of face names"),
+    ("validate", _arrow_json(sources={}), "at sources.f: missing"),
+    ("validate", _arrow_json(target={}), "at target.f: missing"),
+    ("morphism", "x -> x\n", "map line 1: expected 'a => b'"),
+], ids=["top-level-array", "no-faces", "faces-array", "target-array", "sources-array",
+        "point-with-sources", "empty-sources", "missing-sources", "missing-target",
+        "map-line-without-arrow"])
+def test_parse_errors_exit_2_with_one_line(tmp_path, capsys, command, text, message):
+    """``text`` is the validated document, or the map file of a morphism
+    from the arrow to itself."""
+    path = tmp_path / "input"
+    path.write_text(text)
+    arrow = tmp_path / "arrow.json"
+    arrow.write_text(_arrow_json())
+    argv = {"validate": ["validate", str(path), "--format", "json"],
+            "morphism": ["morphism", "--from", str(arrow), "--to", str(arrow),
+                         "--map", str(path)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_enumerate_count(capsys):
     assert main(["enumerate", "--max-dim", "2", "--max-faces", "7",
                  "--opetopes-only", "--count-only"]) == 0

@@ -19,6 +19,7 @@ from opetope_kit import (
     identity_morphism,
     single_edit_mutations,
     to_hypergraph_view,
+    two_cell,
     validate_complex_data,
     validate_morphism,
 )
@@ -115,6 +116,7 @@ UNKNOWN_NAME_QUERIES = {
     "cover_sign(nope, nope2)": lambda c: c.cover_sign("nope", "nope2"),
     "covers": lambda c: c.covers("nope"),
     "cofaces": lambda c: c.cofaces("nope"),
+    "pencils": lambda c: c.pencils("nope"),
     "downset": lambda c: c.downset("nope"),
 }
 
@@ -140,6 +142,22 @@ def test_covers_and_cofaces(two2):
     assert two2.cover_sign("x0", "f2") is None
     assert two2.covers("alpha") == (("f1", "-"), ("f2", "-"), ("h", "+"))
     assert ("alpha", "-") in two2.cofaces("f1")
+
+
+def test_pencils_match_a_scan_of_the_stratum_above(enumerated, tree_fixtures):
+    """Each pencil, and ``cofaces`` as their signed merge, equals a scan of
+    the faces one dimension up."""
+    complexes = [complex_ for complex_, _, _ in enumerated]
+    complexes += [tree_fixtures[name] for name in sorted(tree_fixtures)]
+    complexes += [two_cell(n) for n in range(1, 7)]
+    for complex_ in complexes:
+        for y in complex_.faces():
+            above = complex_.stratum(complex_.dim(y) + 1)
+            targets = tuple(x for x in above if complex_.gamma(x) == y)
+            sources = tuple(x for x in above if y in complex_.delta(x))
+            assert complex_.pencils(y) == (targets, sources)
+            assert complex_.cofaces(y) == tuple(
+                (x, complex_.cover_sign(y, x)) for x in above if x in targets + sources)
 
 
 def test_downset(two2):

@@ -25,7 +25,7 @@ from opetope_kit import (
     two_cell,
     validate_rooted_tree,
 )
-from opetope_kit.errors import DimensionTooLow, PreconditionViolation
+from opetope_kit.errors import DimensionTooLow, LozengeError, PreconditionViolation
 
 from helpers import (
     all_chains,
@@ -345,11 +345,49 @@ def test_dfc_near_miss_outputs_are_pinned():
     assert digest.hexdigest() == DFC_NEAR_MISS_SHA256
 
 
-def test_oriented_thinness_reads_cofaces(monkeypatch):
-    """Completing a chain looks at the cofaces of its bottom face, not at
+# Over every chain bottom < left < top of the corpus fixtures and their
+# valid single edits, with ``top`` ranging over the stratum above ``left``:
+# the completed right face and signs, or the exception's type and message.
+# Computed before complexes stored their pencils.
+HALF_LOZENGE_SHA256 = "b74df248abdb068f253792a6ce5da558b3f0c33ad4c0620532c726c929361903"
+
+
+def test_half_lozenge_completions_are_pinned():
+    complexes = []
+    for fixture in corpus_fixtures().values():
+        complexes.append(fixture)
+        for _, dims, target, sources in single_edit_mutations(fixture):
+            built = build_complex(dims, target, sources)
+            if isinstance(built, FaceComplex):
+                complexes.append(built)
+    digest = hashlib.sha256()
+    outcomes = {}
+    for complex_ in complexes:
+        for left in complex_.faces():
+            for bottom, _ in complex_.covers(left):
+                for top in complex_.stratum(complex_.dim(left) + 1):
+                    try:
+                        lozenge = complete_half_lozenge(complex_, bottom, left, top)
+                        outcome = ["ok", lozenge.right, list(lozenge.signs)]
+                    except (PreconditionViolation, LozengeError) as exc:
+                        outcome = [type(exc).__name__, str(exc)]
+                    outcomes[outcome[0]] = outcomes.get(outcome[0], 0) + 1
+                    digest.update(json.dumps([bottom, left, top, outcome]).encode("utf-8") + b"\n")
+    assert len(complexes) == 288
+    assert sum(outcomes.values()) == 19787
+    assert sorted(outcomes) == ["AmbiguousCompletion", "NoCompletion", "PreconditionViolation",
+                                "SignRuleViolation", "ok"]
+    assert digest.hexdigest() == HALF_LOZENGE_SHA256
+
+
+def test_half_lozenge_completion_reads_the_bottom_pencils(monkeypatch):
+    """Completing a chain looks at the faces above its bottom face, not at
     every cover of its top face, so the work per chain stays bounded on
     wide cells."""
     complex_ = two_cell(200)
+    chains = [(z, y, x) for x in complex_.faces() if complex_.dim(x) >= 2
+              for y, _ in complex_.covers(x) for z, _ in complex_.covers(y)]
+    assert len(chains) == 402
     calls = 0
     original = FaceComplex.cover_sign
 
@@ -359,11 +397,9 @@ def test_oriented_thinness_reads_cofaces(monkeypatch):
         return original(self, y, x)
 
     monkeypatch.setattr(FaceComplex, "cover_sign", counted)
-    assert check_oriented_thinness(complex_).passed
-    chains = sum(1 for x in complex_.faces() if complex_.dim(x) >= 2
-                 for y, _ in complex_.covers(x) for _ in complex_.covers(y))
-    assert chains == 402
-    assert calls <= 5 * chains
+    for chain in chains:
+        assert complete_half_lozenge(complex_, *chain).sign_rule_holds
+    assert calls <= 5 * len(chains)
 
 
 def test_is_dfc_work_per_face_is_flat(monkeypatch):
@@ -373,16 +409,18 @@ def test_is_dfc_work_per_face_is_flat(monkeypatch):
     cells = {n: chain_tree_cell(n) for n in (300, 1200)}
     reads = 0
 
-    def counting(method):
+    def counting(method, size):
         def wrapped(self, name):
             nonlocal reads
             out = method(self, name)
-            reads += len(out)
+            reads += size(out)
             return out
         return wrapped
 
-    for name in ("covers", "cofaces", "delta"):
-        monkeypatch.setattr(FaceComplex, name, counting(getattr(FaceComplex, name)))
+    sizes = {"covers": len, "cofaces": len, "delta": len,
+             "pencils": lambda pencils: len(pencils[0]) + len(pencils[1])}
+    for name, size in sizes.items():
+        monkeypatch.setattr(FaceComplex, name, counting(getattr(FaceComplex, name), size))
     per_face = {}
     for n, complex_ in cells.items():
         reads = 0
