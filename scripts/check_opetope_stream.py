@@ -7,11 +7,13 @@ and prunes partial stages) must stream the same canonical forms, in the
 same order, as ``enumerate_pops`` filtered by ``is_positive_opetope``.
 Both share the prefix deduplication, so ``enumerate_pops`` must also
 stream the same canonical forms, in the same order, as
-``naive_enumerate_pops`` at (3, 7).  Each search prints its time and the
-number of stages it built (dimension-0 bases included; not for the naive
-recount, which counts labelled assignments), counted by a subclass of
-the enumerator's ``FaceComplex``.  Exits 1 on any mismatch.
-Takes under a minute on one core:
+``naive_enumerate_pops`` at (3, 7).  At (3, 11) the pruned search's
+count of opetopes at each dimension and face count must equal the
+tree-count oracle of ``tests/helpers.py``, which builds no complex.  Each
+search prints its time and the number of stages it built (dimension-0
+bases included; not for the naive recount, which counts labelled
+assignments), counted by a subclass of the enumerator's ``FaceComplex``.
+Exits 1 on any mismatch.  Takes under a minute on one core:
 
     python3 scripts/check_opetope_stream.py
 """
@@ -19,8 +21,11 @@ Takes under a minute on one core:
 import pathlib
 import sys
 import time
+from collections import Counter
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from opetope_kit import (  # noqa: E402
     EnumerationBudget,
@@ -32,9 +37,11 @@ from opetope_kit import (  # noqa: E402
     naive_enumerate_pops,
 )
 from opetope_kit import enumeration  # noqa: E402
+from helpers import tree_opetope_count  # noqa: E402
 
 BUDGETS = ((3, 9), (4, 9))
 NAIVE_BUDGET = (3, 7)
+ORACLE_BUDGET = (3, 11)
 
 built = 0
 
@@ -79,6 +86,17 @@ def main() -> int:
     print(f"{NAIVE_BUDGET}: enumerated {len(clever)} classes in {middle - start:.1f} s "
           f"from {stages} stages; "
           f"naive recount {len(naive)} in {end - middle:.1f} s: {verdict}", flush=True)
+    max_dim, max_faces = ORACLE_BUDGET
+    start, before = time.perf_counter(), built
+    found = Counter((c.dimension, len(c))
+                    for c in enumerate_positive_opetopes(EnumerationBudget(max_dim, max_faces)))
+    end = time.perf_counter()
+    expected = {(d, n): tree_opetope_count(d, n)
+                for d in range(max_dim + 1) for n in range(1, max_faces + 1)}
+    verdict = "ok" if {key: found[key] for key in expected} == expected else "MISMATCH"
+    failed |= verdict != "ok"
+    print(f"{ORACLE_BUDGET}: pruned {sum(found.values())} opetopes in {end - start:.1f} s "
+          f"from {built - before} stages; tree counts: {verdict}", flush=True)
     return 1 if failed else 0
 
 

@@ -10,13 +10,14 @@ prefixes: extensions of different representatives are never isomorphic.
 Every stream is therefore exhaustive, free of isomorphic repeats, and
 emitted in a deterministic order with canonical face names.  Each stage
 stacks one stratum on its parent (``FaceComplex(..., extends=parent)``),
-which validates only the new stratum.  The opetope search prunes a stage
-with the checker's own :func:`zpo.settled_violations` for the newest
-stratum, which is invariant under isomorphism.  Principality, the first of
-those and the one that rejects most candidates, reads only the names one
-stratum down and the new stratum's source sets, so the search decides it
-on the assignment (:func:`zpo.principality_from_sources`) before building
-the stage, and builds only the candidates that pass.
+which validates only the new stratum.  The opetope search prunes on the
+violations that the newest stratum settles, which are invariant under
+isomorphism.  Every one of them reads only the parent and the new
+stratum's targets and source sets, so the search decides them all on the
+assignment, with the checker's own axioms on a :class:`zpo.Level` built
+from the parent and the assignment, and builds only the candidates that
+pass.  The minus order one stratum down reads the parent alone and is
+closed once for all of its extensions.
 
 The opetope search also skips every stratum-size profile ``(n_0, ..., n_d)``
 unless ``n_d == 1`` and the Euler characteristic ``n_0 - n_1 + n_2 - ...``
@@ -48,7 +49,8 @@ from typing import Iterator, Optional
 from .core import AxiomReport, FaceComplex, build_complex
 from .errors import BudgetTooLarge
 from .iso import Certificate, canonical_face_name, canonical_form, complex_from_certificate
-from .zpo import is_positive_opetope, principality_from_sources, settled_violations
+from .relations import closed_minus
+from .zpo import Level, is_positive_opetope, level_violations
 
 WORK_LIMIT_ENV = "OPETOPE_KIT_WORK_LIMIT"
 DEFAULT_WORK_LIMIT = 2_000_000
@@ -69,15 +71,17 @@ class EnumerationBudget:
 
 
 def resolve_work_limit(work_limit: Optional[int]) -> int:
-    if work_limit is not None:
-        return work_limit
-    env = os.environ.get(WORK_LIMIT_ENV)
-    if not env:
-        return DEFAULT_WORK_LIMIT
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{WORK_LIMIT_ENV} must be an integer, got {env!r}") from None
+    if work_limit is None:
+        env = os.environ.get(WORK_LIMIT_ENV)
+        if not env:
+            return DEFAULT_WORK_LIMIT
+        try:
+            work_limit = int(env)
+        except ValueError:
+            raise ValueError(f"{WORK_LIMIT_ENV} must be an integer, got {env!r}") from None
+    if work_limit < 0:
+        raise ValueError(f"the work limit must be >= 0, got {work_limit}")
+    return work_limit
 
 
 class _WorkMeter:
@@ -185,17 +189,15 @@ def _classes(budget: EnumerationBudget, meter: _WorkMeter,
                 continue
             options, classes = _options(names[k - 1], k), {}
             for parent in path[-1].values():
+                minus = closed_minus(parent, k - 1) if opetopes_only else None
                 for combo in itertools.combinations_with_replacement(options, profile[k]):
                     meter.tick()
-                    targets, sources = zip(*combo)
-                    if opetopes_only and next(
-                            principality_from_sources(names[k - 1], sources, k - 1),
-                            None) is not None:
+                    if opetopes_only and next(level_violations(
+                            Level(k, parent, names[k], combo, minus)), None) is not None:
                         continue
+                    targets, sources = zip(*combo)
                     stage = FaceComplex(layer, dict(zip(names[k], targets)),
                                         dict(zip(names[k], sources)), extends=parent)
-                    if opetopes_only and next(settled_violations(stage, k), None) is not None:
-                        continue
                     classes.setdefault(canonical_form(stage), stage)
             path.append(classes)
         yield path[-1]
@@ -226,10 +228,10 @@ def enumerate_positive_opetopes(budget: EnumerationBudget,
     Equivalent to filtering :func:`enumerate_pops` by the positive-opetope
     check.  The search skips profiles whose top stratum is not one face or
     whose Euler characteristic is not 1 (see the module docstring),
-    extends one representative per class of each prefix, decides
-    principality from a candidate stratum's source sets before building
-    the stage, and prunes a built stage on the violations its newest
-    stratum settles; the final filter is still the real checker.
+    extends one representative per class of each prefix, and decides the
+    violations a candidate stratum settles from the parent and the
+    assignment, building the stage only when there are none; the final
+    filter is still the real checker.
     """
     meter = _WorkMeter(resolve_work_limit(work_limit))
     yield from _collect(

@@ -13,7 +13,7 @@ whole rows of the order at once and no pair of the order is ever stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .core import MINUS, PLUS, FaceComplex
+from .core import FaceComplex
 from .errors import DimensionOutOfRange, DimensionTooLow
 
 
@@ -110,32 +110,35 @@ def _reach(succ: list[list[int]]) -> list[int]:
     return masks
 
 
-def _successors(complex_: FaceComplex, k: int, sign: str
-                ) -> tuple[tuple[str, ...], dict[str, int], list[list[int]]]:
-    """The one-step relation of ``sign`` on stratum ``k``, as the stratum,
-    the position of each face and the positions each face steps to."""
-    faces = complex_.stratum(k)
+def plus_order(faces: tuple[str, ...], covers) -> ClosedRelation:
+    """The order ``<+`` on the stratum ``faces``, from ``covers``: the
+    target and the source set of each face one dimension up, in name
+    order.  One scan hands each target to each of its sources."""
     index = dict(zip(faces, range(len(faces))))
-    if sign == PLUS:
-        succ = [[index[complex_.gamma(w)] for w in complex_.pencils(x)[1]] for x in faces]
-    elif k > 0:
-        succ = [[index[w] for w in complex_.pencils(complex_.gamma(x))[1]] for x in faces]
-    else:
-        succ = [[] for _ in faces]
-    return faces, index, succ
+    steps: list[list[int]] = [[] for _ in faces]
+    for t, sources in covers:
+        j = index[t]
+        for y in sources:
+            steps[index[y]].append(j)
+    return ClosedRelation(faces, index, steps)
 
 
 def closed_minus(complex_: FaceComplex, k: int) -> ClosedRelation:
     """The order ``<-`` on stratum ``k``: ``x`` steps minus to ``x'`` when
     the target of ``x`` is a source of ``x'``.  Empty on stratum 0, whose
     faces have no target."""
-    return ClosedRelation(*_successors(complex_, k, MINUS))
+    faces = complex_.stratum(k)
+    index = dict(zip(faces, range(len(faces))))
+    return ClosedRelation(faces, index, [
+        [index[w] for w in complex_.pencils(complex_.gamma(x))[1]] if k else []
+        for x in faces])
 
 
 def closed_plus(complex_: FaceComplex, k: int) -> ClosedRelation:
     """The order ``<+`` on stratum ``k``: ``x`` steps plus to ``x'`` when
     some (k+1)-face has source ``x`` and target ``x'``."""
-    return ClosedRelation(*_successors(complex_, k, PLUS))
+    return plus_order(complex_.stratum(k), [(complex_.gamma(w), complex_.delta(w))
+                                            for w in complex_.stratum(k + 1)])
 
 
 def gamma_set(complex_: FaceComplex, k: int) -> frozenset[str]:
@@ -150,12 +153,12 @@ def lambda_set(complex_: FaceComplex, k: int) -> frozenset[str]:
     return frozenset(complex_.stratum(k)) - gamma_set(complex_, k)
 
 
-def boundary_sets(complex_: FaceComplex, x: str) -> tuple[frozenset[str], frozenset[str]]:
-    """The sources of the sources of ``x`` and the targets of its sources,
-    for a face of dim >= 2."""
+def boundary_sets(complex_: FaceComplex, sources) -> tuple[frozenset[str], frozenset[str]]:
+    """The sources of the faces in ``sources`` and their targets: for the
+    source set of a face of dim >= 2, its source-sources and source-targets."""
     dd: set[str] = set()
     gd: set[str] = set()
-    for b in complex_.delta(x):
+    for b in sources:
         dd |= complex_.delta(b)
         gd.add(complex_.gamma(b))
     return frozenset(dd), frozenset(gd)
@@ -166,7 +169,7 @@ def iota(complex_: FaceComplex, x: str) -> frozenset[str]:
     and the target of a source."""
     if complex_.dim(x) < 2:
         raise DimensionTooLow(f"face {x} has dim {complex_.dim(x)} < 2")
-    dd, gd = boundary_sets(complex_, x)
+    dd, gd = boundary_sets(complex_, complex_.delta(x))
     return dd & gd
 
 

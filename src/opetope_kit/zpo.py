@@ -7,11 +7,14 @@ that is not a source of the stratum above (principality).  Each check
 returns a report with every violating face, in lexicographic order, so a
 failing complex can be repaired or used as a counterexample.
 
-Each axiom is checked level by level, by one generator per axiom.  The
-enumerator's pruner and the whole-complex checks both run them, through
-:func:`settled_violations`.  Principality reads only names and source
-sets, so the opetope search also decides it through
-:func:`principality_from_sources` before it builds a stage.
+Each axiom is checked level by level, by one generator per axiom that
+reads one :class:`Level` record: the faces of a stratum with their
+targets and source sets, and the complex below them.  The whole-complex
+checks build each record from the complex (:func:`settled_violations`).
+The opetope search builds it from a parent stage and a candidate
+assignment of the stratum above, so every axiom that the new stratum
+settles is decided before the stage is built, and only the candidates
+that pass are built.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .core import AxiomReport, FaceComplex, Violation
-from .relations import ClosedRelation, boundary_sets, closed_minus, closed_plus
+from .relations import ClosedRelation, boundary_sets, closed_minus, plus_order
 
 _AXIOMS = ("globularity", "strictness", "disjointness", "pencil-linearity",
            "principality")
@@ -29,13 +32,53 @@ def _fmt(names) -> str:
     return "{" + ", ".join(sorted(names)) + "}"
 
 
-def _globularity(complex_: FaceComplex, k: int) -> Iterator[Violation]:
-    if k < 2:
+class Level:
+    """What the axioms that stratum ``k`` >= 1 settles read, and nothing more.
+
+    ``below`` is a complex holding strata ``0..k-1`` (any stratum above is
+    never read), ``names`` the faces of stratum ``k`` in name order and
+    ``covers`` their (target, source set) pairs: the checker builds a level
+    from a complex, the opetope search from a parent and an assignment.
+    ``faces`` is stratum ``k - 1``; ``plus`` and ``minus`` are its two
+    orders, each built when first read.  ``minus`` reads only ``below``,
+    so a caller that extends one parent many times passes it in.
+    """
+
+    __slots__ = ("k", "below", "names", "covers", "faces", "_plus", "_minus")
+
+    def __init__(self, k: int, below: FaceComplex, names, covers,
+                 minus: ClosedRelation | None = None):
+        self.k, self.below, self.names, self.covers = k, below, names, covers
+        self.faces = below.stratum(k - 1)
+        self._plus, self._minus = None, minus
+
+    @staticmethod
+    def of(complex_: FaceComplex, k: int) -> "Level":
+        names = complex_.stratum(k)
+        return Level(k, complex_, names,
+                     [(complex_.gamma(x), complex_.delta(x)) for x in names])
+
+    @property
+    def plus(self) -> ClosedRelation:
+        if self._plus is None:
+            self._plus = plus_order(self.faces, self.covers)
+        return self._plus
+
+    @property
+    def minus(self) -> ClosedRelation:
+        if self._minus is None:
+            self._minus = closed_minus(self.below, self.k - 1)
+        return self._minus
+
+
+def _globularity(level: Level) -> Iterator[Violation]:
+    if level.k < 2:
         return
-    for x in complex_.stratum(k):
-        dd, gd = boundary_sets(complex_, x)
-        gg = {complex_.gamma(complex_.gamma(x))}
-        dg = complex_.delta(complex_.gamma(x))
+    below = level.below
+    for x, (t, sources) in zip(level.names, level.covers):
+        dd, gd = boundary_sets(below, sources)
+        gg = {below.gamma(t)}
+        dg = below.delta(t)
         if gg != gd - dd:
             yield Violation(
                 "globularity", (x,),
@@ -70,7 +113,8 @@ def _find_cycle(plus: ClosedRelation, start: int) -> tuple[str, ...]:
     return (plus.faces[start],)
 
 
-def _strictness(complex_: FaceComplex, k: int, plus: ClosedRelation) -> Iterator[Violation]:
+def _strictness(level: Level) -> Iterator[Violation]:
+    plus, k = level.plus, level.k - 1
     loops = [i for i, mask in enumerate(plus.masks) if mask >> i & 1]
     if loops:
         cycle = _find_cycle(plus, loops[0])
@@ -87,10 +131,11 @@ def _strictness(complex_: FaceComplex, k: int, plus: ClosedRelation) -> Iterator
             f"dimension-0 faces {x} and {y} are not plus-comparable")
 
 
-def _disjointness(complex_: FaceComplex, k: int, plus: ClosedRelation) -> Iterator[Violation]:
-    if k < 1 or not any(plus.masks):
+def _disjointness(level: Level) -> Iterator[Violation]:
+    plus = level.plus
+    if level.k < 2 or not any(plus.masks):
         return
-    minus = closed_minus(complex_, k)
+    minus = level.minus
     if not any(minus.masks):
         return
     # each pair comparable in both orders shows in the row of its plus-lower
@@ -137,11 +182,11 @@ def _incomparable(plus: ClosedRelation, members: Iterable[int]) -> list[tuple[in
     return pairs
 
 
-def _pencil_linearity(complex_: FaceComplex, k: int,
-                      plus: ClosedRelation) -> Iterator[Violation]:
+def _pencil_linearity(level: Level) -> Iterator[Violation]:
+    plus, below = level.plus, level.below
     faces, index = plus.faces, plus.index
-    for y in complex_.stratum(k - 1):
-        for label, pencil in zip(("target", "source"), complex_.pencils(y)):
+    for y in below.stratum(level.k - 2):
+        for label, pencil in zip(("target", "source"), below.pencils(y)):
             if len(pencil) < 2:
                 continue
             for i, j in _incomparable(plus, [index[x] for x in pencil]):
@@ -152,28 +197,27 @@ def _pencil_linearity(complex_: FaceComplex, k: int,
                     f"not plus-comparable")
 
 
-def principality_from_sources(stratum: Iterable[str],
-                              source_sets: Iterable[frozenset[str]],
-                              k: int) -> Iterator[Violation]:
-    """Principality at level ``k``, from the names of stratum ``k`` and the
-    source sets of the faces of stratum ``k + 1``.
-
-    Nothing else is read, so the enumerator decides it on an assignment
-    before building the stage.
-    """
+def _principality(level: Level) -> Iterator[Violation]:
     used: set[str] = set()
-    for sources in source_sets:
+    for _, sources in level.covers:
         used |= sources
-    left = [y for y in stratum if y not in used]
+    left = [y for y in level.faces if y not in used]
     if len(left) != 1:
         yield Violation(
             "principality", tuple(left),
-            f"stratum {k} has {len(left)} non-source faces {_fmt(left)}, expected 1")
+            f"stratum {level.k - 1} has {len(left)} non-source faces {_fmt(left)}, "
+            f"expected 1")
 
 
-def _principality(complex_: FaceComplex, k: int) -> Iterator[Violation]:
-    return principality_from_sources(complex_.stratum(k),
-                                     map(complex_.delta, complex_.stratum(k + 1)), k)
+def level_violations(level: Level) -> Iterator[Violation]:
+    """The violations that ``level`` settles, cheapest axiom first: a
+    pruner that stops at the first one builds a closure only after
+    principality passes."""
+    yield from _principality(level)
+    yield from _strictness(level)
+    yield from _disjointness(level)
+    yield from _pencil_linearity(level)
+    yield from _globularity(level)
 
 
 def settled_violations(complex_: FaceComplex, k: int) -> Iterator[Violation]:
@@ -183,20 +227,14 @@ def settled_violations(complex_: FaceComplex, k: int) -> Iterator[Violation]:
     at level ``k - 1`` and globularity of the ``k``-faces.  None of them
     reads a stratum above ``k``, so they are the same on the truncation to
     strata ``0..k`` as on any complex stacked on it, and the enumerator
-    prunes on them.  The cheapest axiom comes first, for that pruner.
+    prunes on them, on a :class:`Level` built before the stage is.
     """
-    level = k - 1
-    yield from _principality(complex_, level)
-    plus = closed_plus(complex_, level)
-    yield from _strictness(complex_, level, plus)
-    yield from _disjointness(complex_, level, plus)
-    yield from _pencil_linearity(complex_, level, plus)
-    yield from _globularity(complex_, k)
+    return level_violations(Level.of(complex_, k))
 
 
 def _at_each_level(complex_: FaceComplex, axiom) -> Iterator[Violation]:
-    for k in range(complex_.dimension + 1):
-        yield from axiom(complex_, k, closed_plus(complex_, k))
+    for k in range(1, complex_.dimension + 2):
+        yield from axiom(Level.of(complex_, k))
 
 
 def check_globularity(complex_: FaceComplex) -> AxiomReport:
@@ -204,8 +242,7 @@ def check_globularity(complex_: FaceComplex) -> AxiomReport:
     the target is the one source-target that is not a source of a source,
     and the sources of the target are the sources of sources that are not
     source-targets."""
-    return AxiomReport.of((v for k in range(2, complex_.dimension + 1)
-                           for v in _globularity(complex_, k)), ("globularity",))
+    return AxiomReport.of(_at_each_level(complex_, _globularity), ("globularity",))
 
 
 def check_strictness(complex_: FaceComplex) -> AxiomReport:
@@ -229,13 +266,11 @@ def check_pencil_linearity(complex_: FaceComplex) -> AxiomReport:
 def check_principality(complex_: FaceComplex) -> AxiomReport:
     """Each stratum must contain exactly one face that is a source of no
     face above (for the top stratum, that leaves the whole stratum)."""
-    return AxiomReport.of((v for k in range(complex_.dimension + 1)
-                           for v in _principality(complex_, k)), ("principality",))
+    return AxiomReport.of(_at_each_level(complex_, _principality), ("principality",))
 
 
 def _all_levels(complex_: FaceComplex) -> Iterator[Violation]:
-    for k in range(1, complex_.dimension + 2):
-        yield from settled_violations(complex_, k)
+    return _at_each_level(complex_, level_violations)
 
 
 def is_opetopic_cardinal(complex_: FaceComplex) -> AxiomReport:

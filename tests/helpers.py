@@ -8,6 +8,7 @@ something independent to agree with.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from opetope_kit import FaceComplex, RootedTree, three_cell_from_tree
@@ -262,3 +263,27 @@ def arrow_cycles(*lengths: int) -> FaceComplex:
             target[f"e{c}_{i:02d}"] = f"p{c}_{(i + 1) % length:02d}"
             sources[f"e{c}_{i:02d}"] = [f"p{c}_{i:02d}"]
     return FaceComplex(faces, target, sources)
+
+
+def tree_opetope_count(dimension: int, faces: int) -> int:
+    """The number of positive opetopes of ``dimension`` <= 3 with ``faces``
+    faces, from closed forms over trees and without building a complex.
+
+    A positive n-opetope is a tree of (n - 1)-opetopes with no nullary
+    node.  So there is one point and one arrow, one 2-opetope (a string of
+    n >= 1 arrows) with 2n + 3 faces, and a 3-opetope for each planar tree
+    of 2-opetopes with S >= 1 inputs in all, with 2S + 5 faces; such trees
+    are counted by the Catalan number of S.
+    """
+    if dimension == 0:
+        return int(faces == 1)
+    if dimension == 1:
+        return int(faces == 3)
+    if dimension == 2:
+        return int(faces >= 5 and faces % 2 == 1)
+    if dimension == 3:
+        if faces < 7 or faces % 2 == 0:
+            return 0
+        s = (faces - 5) // 2
+        return math.comb(2 * s, s) // (s + 1)
+    raise ValueError(f"no closed form for dimension {dimension}")

@@ -387,6 +387,8 @@ def test_tree_walks_do_not_recurse(tmp_path, capsys):
     (["enumerate", "--max-dim", "1", "--max-faces", "0"], {}, None, 2),
     (["enumerate", "--max-dim", "1", "--max-faces", "3", "--count-only"],
      {"OPETOPE_KIT_WORK_LIMIT": "abc"}, None, 2),
+    (["enumerate", "--max-dim", "2", "--max-faces", "6"],
+     {"OPETOPE_KIT_WORK_LIMIT": "-3"}, None, 2),
     (["convert", "{file}", "--to", "dsl"], {},
      emit_json(FaceComplex({"café": 0}, {}, {})).encode("utf-8"), 1),
     (["morphism", "--from", "{source}", "--to", "{target}", "--map", "{source}"],
@@ -398,8 +400,8 @@ def test_tree_walks_do_not_recurse(tmp_path, capsys):
     (["enumerate", "--max-dim", "40", "--max-faces", "40", "--count-only"],
      {}, None, 1),
 ], ids=["non-utf8-input", "negative-max-dim", "zero-max-faces",
-        "bad-work-limit", "non-ascii-name-to-dsl", "parse-error-before-base",
-        "deep-budget", "wide-budget"])
+        "bad-work-limit", "negative-work-limit", "non-ascii-name-to-dsl",
+        "parse-error-before-base", "deep-budget", "wide-budget"])
 def test_exit_code_contract(tmp_path, argv, env, content, code):
     """Bad input exits with its contract code and a one-line message.
 

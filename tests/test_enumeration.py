@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -24,8 +25,9 @@ from opetope_kit import (
 from opetope_kit import enumeration
 from opetope_kit.enumeration import _profiles
 from opetope_kit.iso import complex_from_certificate
-from opetope_kit.zpo import _principality, settled_violations
+from opetope_kit.zpo import settled_violations
 
+from helpers import tree_opetope_count
 from test_equivalence_random import random_tree
 
 
@@ -139,7 +141,7 @@ def test_work_limit_counts_stages_built():
 
 def test_work_limit_counts_assignments_tried():
     """The opetope search ticks once per profile visited and once per
-    assignment tried, whether or not its source sets rule the stage out
+    assignment tried, whether or not a settled axiom rules the stage out
     before it is built.  At (3, 8) the smallest limit is the 162 stratum-size
     profiles plus 121 assignments tried, at (4, 9) the 381 profiles plus
     2 457 assignments; the walk runs out at its last profile.  The naive
@@ -162,6 +164,16 @@ def test_work_limit_env(monkeypatch):
         list(enumerate_pops(EnumerationBudget(2, 6)))
     monkeypatch.setenv("OPETOPE_KIT_WORK_LIMIT", "1000000")
     assert list(enumerate_pops(EnumerationBudget(1, 3)))
+
+
+def test_negative_work_limit_is_bad_input(monkeypatch):
+    with pytest.raises(ValueError, match=">= 0, got -1"):
+        list(enumerate_positive_opetopes(EnumerationBudget(2, 6), work_limit=-1))
+    monkeypatch.setenv("OPETOPE_KIT_WORK_LIMIT", "-3")
+    with pytest.raises(ValueError, match=">= 0, got -3"):
+        list(enumerate_pops(EnumerationBudget(2, 6)))
+    with pytest.raises(BudgetTooLarge):
+        list(enumerate_pops(EnumerationBudget(2, 6), work_limit=0))
 
 
 def test_equivalence_smoke_on_small_budget(small_pops):
@@ -191,6 +203,11 @@ def test_opetope_streams_are_pinned():
                   for c in enumerate_positive_opetopes(EnumerationBudget(*budget))]
         assert len(stream) == count
         assert _stream_digest(stream) == STREAM_SHA256[budget], budget
+        # the tree-count oracle, at every dimension <= 3 and face count in budget
+        found = Counter((len(profile) - 1, sum(profile)) for profile, _ in stream)
+        expected = {(d, n): tree_opetope_count(d, n)
+                    for d in range(4) for n in range(1, budget[1] + 1)}
+        assert {key: found[key] for key in expected} == expected, budget
 
 
 # SHA-256 in the same format over the enumerate_pops streams, computed
@@ -275,33 +292,38 @@ def test_extended_stages_equal_their_full_rebuild(monkeypatch, run):
             assert stage.covers(x) == full.covers(x)
 
 
-def test_principality_is_decided_before_the_stage_is_built(monkeypatch):
-    """For every assignment the (4, 8) search tries, the principality
-    violation read from its source sets is the one the checker finds on
-    the built stage, and the search skips exactly the stages whose first
-    settled violation is principality."""
+def test_settled_axioms_are_decided_before_the_stage_is_built(monkeypatch):
+    """For every assignment the (4, 9) search tries, the first violation
+    that the search reads from the parent and the assignment is the first
+    one the checker finds on the stage built from them, and the search
+    builds exactly the stages where there is none.  Each of the five
+    axioms rejects some assignment."""
     def search():
-        return list(enumerate_positive_opetopes(EnumerationBudget(4, 8)))
+        return list(enumerate_positive_opetopes(EnumerationBudget(4, 9)))
 
-    decided = []
-    real = enumeration.principality_from_sources
+    tried = []
+    real = enumeration.level_violations
 
-    def build_anyway(stratum, source_sets, k):
-        decided.append(next(real(stratum, source_sets, k), None))
-        return iter(())
+    def build_anyway(level):
+        targets, sources = zip(*level.covers)
+        stage = FaceComplex(dict.fromkeys(level.names, level.k),
+                            dict(zip(level.names, targets)),
+                            dict(zip(level.names, sources)), extends=level.below)
+        tried.append((stage, next(real(level), None)))
+        return real(level)
 
-    monkeypatch.setattr(enumeration, "principality_from_sources", build_anyway)
-    tried = [stage for stage, extended in _built_stages(monkeypatch, search) if extended]
-    monkeypatch.setattr(enumeration, "principality_from_sources", real)
+    monkeypatch.setattr(enumeration, "level_violations", build_anyway)
+    search()
+    monkeypatch.setattr(enumeration, "level_violations", real)
     built = [stage for stage, extended in _built_stages(monkeypatch, search) if extended]
 
-    assert len(decided) == len(tried)
-    for stage, violation in zip(tried, decided):
-        assert violation == next(_principality(stage, stage.dimension - 1), None)
-    first = [next(settled_violations(stage, stage.dimension), None) for stage in tried]
-    assert built == [stage for stage, v in zip(tried, first)
-                     if v is None or v.axiom != "principality"]
-    assert sum(v is not None for v in decided) == len(tried) - len(built) > 0
+    for stage, violation in tried:
+        assert violation == next(settled_violations(stage, stage.dimension), None)
+    assert built == [stage for stage, violation in tried if violation is None]
+    rejected = Counter(violation.axiom for _, violation in tried if violation is not None)
+    assert rejected == {"principality": 1379, "strictness": 639, "disjointness": 127,
+                        "pencil-linearity": 37, "globularity": 3}
+    assert len(tried) == 2453 and len(built) == 268
 
 
 def _built_edits(cells):
