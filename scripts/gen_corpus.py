@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the interchange-format corpus under corpus/.
 
-The files are goldens: the acceptance suite rebuilds each fixture and
+The fixtures are ``corpus_fixtures`` in ``tests/helpers.py``.  The files
+are goldens: the acceptance suite rebuilds each fixture and
 requires byte equality, so run this after intentionally changing a
 constructor or an emitter and commit the result.
 """
@@ -9,13 +10,15 @@ constructor or an emitter and commit the result.
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from opetope_kit import corpus_fixtures, emit_dsl, emit_json  # noqa: E402
+from helpers import corpus_fixtures  # noqa: E402
+from opetope_kit import emit_dsl, emit_json  # noqa: E402
 
 
 def main() -> None:
-    out_dir = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+    out_dir = ROOT / "corpus"
     out_dir.mkdir(exist_ok=True)
     for name, complex_ in corpus_fixtures().items():
         (out_dir / f"{name}.dsl").write_text(emit_dsl(complex_), encoding="utf-8")

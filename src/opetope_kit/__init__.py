@@ -17,12 +17,7 @@ from .core import (
 )
 from .builders import (
     arrow,
-    chain_tree,
-    corpus_fixtures,
-    fork_tree,
-    nested_tree,
     point,
-    single_edit_mutations,
     three_cell_from_tree,
     three_one,
     two_cell,

@@ -1,4 +1,4 @@
-"""Canonical complex constructors and single-edit mutation generators.
+"""Canonical complex constructors.
 
 The constructors cover the shapes used throughout the test corpus: the
 point, the arrow, fan-shaped 2-cells of any arity, the smallest 3-cell
@@ -6,8 +6,6 @@ with a binary source, and 3-cells assembled from a rooted tree of 2-cells.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .core import FaceComplex
 from .dfc import RootedTree, validate_rooted_tree
@@ -131,95 +129,3 @@ def three_cell_from_tree(tree: RootedTree) -> FaceComplex:
     faces = {**dict.fromkeys(points, 0), **dict.fromkeys(spans, 1),
              **dict.fromkeys(tree.nodes, 2), target_cell: 2, top: 3}
     return FaceComplex(faces, target, sources)
-
-
-# -- fixture trees -------------------------------------------------------
-
-
-def chain_tree() -> RootedTree:
-    """Three 2-cells composed in a vertical chain; five leaf slots."""
-    return RootedTree(
-        nodes=frozenset({"alpha1", "alpha2", "alpha3"}),
-        arity={"alpha1": frozenset({"f2", "f3", "f4"}),
-               "alpha2": frozenset({"f1", "f6"}),
-               "alpha3": frozenset({"f5", "f7"})},
-        triplets=frozenset({("alpha3", "f7", "alpha2"),
-                            ("alpha2", "f6", "alpha1")}),
-        root="alpha3")
-
-
-def fork_tree() -> RootedTree:
-    """A root 2-cell with two children side by side; five leaf slots."""
-    return RootedTree(
-        nodes=frozenset({"alpha1", "alpha2", "alpha3"}),
-        arity={"alpha1": frozenset({"f1", "f2"}),
-               "alpha2": frozenset({"f3", "f4", "f5"}),
-               "alpha3": frozenset({"f6", "f7"})},
-        triplets=frozenset({("alpha3", "f6", "alpha1"),
-                            ("alpha3", "f7", "alpha2")}),
-        root="alpha3")
-
-
-def nested_tree() -> RootedTree:
-    """Four binary nodes, one grandchild; the staircase used in tests."""
-    return RootedTree(
-        nodes=frozenset({"a1", "a2", "a3", "a4"}),
-        arity={"a1": frozenset({"b6", "b7"}),
-               "a2": frozenset({"b1", "b8"}),
-               "a3": frozenset({"b2", "b3"}),
-               "a4": frozenset({"b4", "b5"})},
-        triplets=frozenset({("a1", "b6", "a2"),
-                            ("a1", "b7", "a4"),
-                            ("a2", "b8", "a3")}),
-        root="a1")
-
-
-def corpus_fixtures() -> dict[str, FaceComplex]:
-    """The named complexes shipped as interchange-format goldens."""
-    fixtures = {
-        "point": point(),
-        "arrow": arrow(),
-        "three_one": three_one(),
-        "three_chain": three_cell_from_tree(chain_tree()),
-        "three_fork": three_cell_from_tree(fork_tree()),
-        "three_nested": three_cell_from_tree(nested_tree()),
-    }
-    for n in range(1, 6):
-        fixtures[f"two_cell_{n}"] = two_cell(n)
-    return dict(sorted(fixtures.items()))
-
-
-# -- mutations ------------------------------------------------------------
-
-
-def single_edit_mutations(
-    complex_: FaceComplex,
-) -> Iterator[tuple[str, dict, dict, dict]]:
-    """All single edits of the covering data, as raw build inputs.
-
-    Three edit families: rewiring one target to another same-dimension
-    face, deleting one source, and flipping a target cover into a source
-    cover (the reverse flip cannot be written down, since a face holds
-    only one target slot).  Every yielded edit is a genuine change; none
-    reproduces the input complex.
-    """
-    dims, base_target, base_sources = complex_.to_data()
-    for x in complex_.faces():
-        if complex_.dim(x) == 0:
-            continue
-        old = complex_.gamma(x)
-        for candidate in complex_.stratum(complex_.dim(x) - 1):
-            if candidate == old:
-                continue
-            target = dict(base_target)
-            target[x] = candidate
-            yield (f"retarget {x}: {old} -> {candidate}", dims, target, base_sources)
-        for y in sorted(complex_.delta(x)):
-            sources = dict(base_sources)
-            sources[x] = base_sources[x] - {y}
-            yield (f"drop source {y} of {x}", dims, base_target, sources)
-        target = dict(base_target)
-        del target[x]
-        sources = dict(base_sources)
-        sources[x] = base_sources[x] | {old}
-        yield (f"flip target {old} of {x} into a source", dims, target, sources)

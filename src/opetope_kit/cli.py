@@ -14,7 +14,7 @@ import os
 import sys
 
 from .core import AxiomReport, FaceComplex, Morphism, validate_morphism
-from .dfc import face_tree, greatest_element, is_dfc
+from .dfc import face_tree, is_dfc
 from .enumeration import (
     WORK_LIMIT_ENV,
     EnumerationBudget,
@@ -180,8 +180,9 @@ def cmd_partition(args) -> int:
     blocks = sources_partition(complex_, args.dim)
     for owner in sorted(blocks):
         print(f"{owner}: " + " ".join(sorted(blocks[owner])))
-    omega = greatest_element(complex_)
-    print("leftover: " + complex_.iterated_target(omega, args.dim))
+    # the blocks cover the stratum but for exactly one face, the leftover
+    covered = set().union(*blocks.values())
+    print("leftover: " + next(x for x in complex_.stratum(args.dim) if x not in covered))
     return PASS
 
 

@@ -117,7 +117,11 @@ def parse_dsl(text: str) -> ComplexDocument:
         if word == "face":
             if name in declared:
                 raise DuplicateDeclaration(lineno, f"face {name}")
-            declared[name] = dim = int(match[3])
+            try:
+                declared[name] = dim = int(match[3])
+            except ValueError:  # more digits than int() converts
+                raise DslSyntaxError(lineno, match.start(3) + 1,
+                                     "a dimension with fewer digits") from None
             doc.faces.append((name, dim))
             continue
         if word == "tgt":
@@ -179,6 +183,8 @@ def parse_json(text: str) -> ComplexDocument:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise JsonShapeError("$", f"not valid JSON: {err}") from None
+    except (RecursionError, ValueError) as err:  # too deep, or too many digits
+        raise JsonShapeError("$", f"cannot read JSON: {err}") from None
     if not isinstance(data, dict):
         raise JsonShapeError("$", "top level must be an object")
     allowed = {"faces", "target", "sources", "name", "description"}

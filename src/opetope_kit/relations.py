@@ -134,13 +134,6 @@ def closed_minus(complex_: FaceComplex, k: int) -> ClosedRelation:
         for x in faces])
 
 
-def closed_plus(complex_: FaceComplex, k: int) -> ClosedRelation:
-    """The order ``<+`` on stratum ``k``: ``x`` steps plus to ``x'`` when
-    some (k+1)-face has source ``x`` and target ``x'``."""
-    return plus_order(complex_.stratum(k), [(complex_.gamma(w), complex_.delta(w))
-                                            for w in complex_.stratum(k + 1)])
-
-
 def gamma_set(complex_: FaceComplex, k: int) -> frozenset[str]:
     """The k-faces that are targets of some (k+1)-face."""
     if not 0 <= k <= complex_.dimension:

@@ -3,18 +3,17 @@ import pytest
 from opetope_kit import (
     EnumerationBudget,
     arrow,
-    chain_tree,
-    corpus_fixtures,
     enumerate_pops,
-    fork_tree,
     is_dfc,
     is_positive_opetope,
-    nested_tree,
     point,
     three_cell_from_tree,
     three_one,
     two_cell,
 )
+from opetope_kit.iso import complex_from_certificate
+
+from helpers import OPETOPES_4_9, chain_tree, corpus_fixtures, fork_tree, nested_tree
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +53,13 @@ def tree_fixtures():
 @pytest.fixture(scope="session")
 def corpus():
     return corpus_fixtures()
+
+
+@pytest.fixture(scope="session")
+def opetopes_4_9():
+    """The nine positive opetopes with dim <= 4 and <= 9 faces, rebuilt
+    from their pinned canonical forms without running the search."""
+    return [complex_from_certificate(c) for c in OPETOPES_4_9]
 
 
 @pytest.fixture(scope="session")

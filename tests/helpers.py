@@ -1,8 +1,11 @@
-"""Brute-force oracles shared by the unit and acceptance tests.
+"""Brute-force oracles and fixtures shared by the unit and acceptance tests.
 
 Everything here is intentionally dumb: plain exhaustive searches whose
 only job is to be obviously correct, so the clever implementations have
-something independent to agree with.
+something independent to agree with.  The pinned (4, 9) opetopes, the
+fixture trees, the corpus fixtures (the complexes ``scripts/gen_corpus.py``
+writes to ``corpus/``) and the single-edit mutation generator close the
+file.
 """
 
 from __future__ import annotations
@@ -10,8 +13,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from typing import Iterator
 
-from opetope_kit import FaceComplex, RootedTree, three_cell_from_tree
+from opetope_kit import (
+    FaceComplex,
+    RootedTree,
+    arrow,
+    point,
+    three_cell_from_tree,
+    three_one,
+    two_cell,
+)
 from opetope_kit.core import MINUS, PLUS, opposite
 from opetope_kit.relations import ClosedRelation
 
@@ -287,3 +299,111 @@ def tree_opetope_count(dimension: int, faces: int) -> int:
         s = (faces - 5) // 2
         return math.comb(2 * s, s) // (s + 1)
     raise ValueError(f"no closed form for dimension {dimension}")
+
+
+# The canonical forms of the (4, 9) stream, which is also the (4, 10) one.
+OPETOPES_4_9 = [
+    ((1,), ()),
+    ((2, 1), (((1, (0,)),),)),
+    ((2, 2, 1), (((1, (0,)), (1, (0,))), ((3, (2,)),))),
+    ((3, 3, 1), (((1, (0,)), (2, (1,)), (2, (0,))), ((5, (3, 4)),))),
+    ((2, 2, 2, 1), (((1, (0,)), (1, (0,))), ((3, (2,)), (3, (2,))), ((5, (4,)),))),
+    ((4, 4, 1), (((1, (0,)), (2, (1,)), (3, (2,)), (3, (0,))), ((7, (4, 5, 6)),))),
+    ((2, 3, 3, 1), (((1, (0,)), (1, (0,)), (1, (0,))), ((3, (2,)), (4, (3,)), (4, (2,))),
+                    ((7, (5, 6)),))),
+    ((3, 3, 2, 1), (((1, (0,)), (2, (1,)), (2, (0,))), ((5, (3, 4)), (5, (3, 4))), ((7, (6,)),))),
+    ((2, 2, 2, 2, 1), (((1, (0,)), (1, (0,))), ((3, (2,)), (3, (2,))), ((5, (4,)), (5, (4,))),
+                       ((7, (6,)),))),
+]
+
+
+# -- fixture trees -------------------------------------------------------
+
+
+def chain_tree() -> RootedTree:
+    """Three 2-cells composed in a vertical chain; five leaf slots."""
+    return RootedTree(
+        nodes=frozenset({"alpha1", "alpha2", "alpha3"}),
+        arity={"alpha1": frozenset({"f2", "f3", "f4"}),
+               "alpha2": frozenset({"f1", "f6"}),
+               "alpha3": frozenset({"f5", "f7"})},
+        triplets=frozenset({("alpha3", "f7", "alpha2"),
+                            ("alpha2", "f6", "alpha1")}),
+        root="alpha3")
+
+
+def fork_tree() -> RootedTree:
+    """A root 2-cell with two children side by side; five leaf slots."""
+    return RootedTree(
+        nodes=frozenset({"alpha1", "alpha2", "alpha3"}),
+        arity={"alpha1": frozenset({"f1", "f2"}),
+               "alpha2": frozenset({"f3", "f4", "f5"}),
+               "alpha3": frozenset({"f6", "f7"})},
+        triplets=frozenset({("alpha3", "f6", "alpha1"),
+                            ("alpha3", "f7", "alpha2")}),
+        root="alpha3")
+
+
+def nested_tree() -> RootedTree:
+    """Four binary nodes, one grandchild; the staircase used in tests."""
+    return RootedTree(
+        nodes=frozenset({"a1", "a2", "a3", "a4"}),
+        arity={"a1": frozenset({"b6", "b7"}),
+               "a2": frozenset({"b1", "b8"}),
+               "a3": frozenset({"b2", "b3"}),
+               "a4": frozenset({"b4", "b5"})},
+        triplets=frozenset({("a1", "b6", "a2"),
+                            ("a1", "b7", "a4"),
+                            ("a2", "b8", "a3")}),
+        root="a1")
+
+
+def corpus_fixtures() -> dict[str, FaceComplex]:
+    """The named complexes shipped as interchange-format goldens."""
+    fixtures = {
+        "point": point(),
+        "arrow": arrow(),
+        "three_one": three_one(),
+        "three_chain": three_cell_from_tree(chain_tree()),
+        "three_fork": three_cell_from_tree(fork_tree()),
+        "three_nested": three_cell_from_tree(nested_tree()),
+    }
+    for n in range(1, 6):
+        fixtures[f"two_cell_{n}"] = two_cell(n)
+    return dict(sorted(fixtures.items()))
+
+
+# -- mutations ------------------------------------------------------------
+
+
+def single_edit_mutations(
+    complex_: FaceComplex,
+) -> Iterator[tuple[str, dict, dict, dict]]:
+    """All single edits of the covering data, as raw build inputs.
+
+    Three edit families: rewiring one target to another same-dimension
+    face, deleting one source, and flipping a target cover into a source
+    cover (the reverse flip cannot be written down, since a face holds
+    only one target slot).  Every yielded edit is a genuine change; none
+    reproduces the input complex.
+    """
+    dims, base_target, base_sources = complex_.to_data()
+    for x in complex_.faces():
+        if complex_.dim(x) == 0:
+            continue
+        old = complex_.gamma(x)
+        for candidate in complex_.stratum(complex_.dim(x) - 1):
+            if candidate == old:
+                continue
+            target = dict(base_target)
+            target[x] = candidate
+            yield (f"retarget {x}: {old} -> {candidate}", dims, target, base_sources)
+        for y in sorted(complex_.delta(x)):
+            sources = dict(base_sources)
+            sources[x] = base_sources[x] - {y}
+            yield (f"drop source {y} of {x}", dims, base_target, sources)
+        target = dict(base_target)
+        del target[x]
+        sources = dict(base_sources)
+        sources[x] = base_sources[x] | {old}
+        yield (f"flip target {old} of {x} into a source", dims, target, sources)

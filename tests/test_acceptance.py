@@ -20,7 +20,6 @@ from opetope_kit import (
     build_complex,
     canonical_form,
     compose_morphisms,
-    corpus_fixtures,
     emit_dsl,
     emit_json,
     enumerate_pops,
@@ -36,7 +35,6 @@ from opetope_kit import (
     parse_json,
     path_to_root,
     simple_zigzag,
-    single_edit_mutations,
     sources_partition,
     three_one,
     to_hypergraph_view,
@@ -45,9 +43,16 @@ from opetope_kit import (
 )
 from opetope_kit.cli import main
 from opetope_kit.dfc import complete_half_lozenge
-from opetope_kit.relations import closed_plus
+from opetope_kit.zpo import Level
 
-from helpers import all_chains, exhaustive_simple_zigzags, order_pairs, predecessor_sort
+from helpers import (
+    all_chains,
+    corpus_fixtures,
+    exhaustive_simple_zigzags,
+    order_pairs,
+    predecessor_sort,
+    single_edit_mutations,
+)
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
@@ -108,10 +113,10 @@ def test_criterion_3_representation_round_trip(enumerated):
            f"{len(fixtures)} fixtures plus embeddings and a composite validate")
 
 
-def test_criterion_4_structure_theorems(enumerated_dfcs):
+def test_criterion_4_structure_theorems(enumerated_dfcs, opetopes_4_9):
     assert enumerated_dfcs
     lemmas_checked = 0
-    for complex_ in enumerated_dfcs:
+    for complex_ in enumerated_dfcs + opetopes_4_9:
         omega = greatest_element(complex_)
         n = complex_.dimension
         outputs = {k: complex_.iterated_target(omega, k) for k in range(n + 1)}
@@ -141,20 +146,21 @@ def test_criterion_4_structure_theorems(enumerated_dfcs):
             assert not any(outputs[k] in complex_.delta(c)
                            for c in complex_.stratum(k + 1))
         order = linear_order_s0(complex_)
-        below = order_pairs(closed_plus(complex_, 0))
+        below = order_pairs(Level.of(complex_, 1).plus)
         assert order == predecessor_sort(complex_, below)
         for i, x in enumerate(order):
             for y in order[i + 1:]:
                 assert (x, y) in below
     report(4, "structure theorems on every dendritic complex",
-           f"{len(enumerated_dfcs)} complexes, {lemmas_checked} strata of "
+           f"{len(enumerated_dfcs)} complexes and the {len(opetopes_4_9)} "
+           f"(4, 9) opetopes, {lemmas_checked} strata of "
            f"partition/uniqueness lemmas, linear orders match the closure")
 
 
-def test_criterion_5_constructive_certificates(enumerated_dfcs):
+def test_criterion_5_constructive_certificates(enumerated_dfcs, opetopes_4_9):
     extra = [three_one(), two_cell(3)]
     paths = zigzags = lozenges = 0
-    for complex_ in enumerated_dfcs + extra:
+    for complex_ in enumerated_dfcs + opetopes_4_9 + extra:
         for c in complex_.faces():
             if complex_.dim(c) >= 2:
                 tree = face_tree(complex_, c)
@@ -183,6 +189,8 @@ def test_criterion_5_constructive_certificates(enumerated_dfcs):
             assert back.right == middle
             lozenges += 1
     report(5, "constructive certificates",
+           f"on {len(enumerated_dfcs)} complexes, the {len(opetopes_4_9)} (4, 9) "
+           f"opetopes and {len(extra)} more: "
            f"{paths} root paths match the face trees; {zigzags} zig-zags "
            f"unique by exhaustion; {lozenges} lozenge completions involutive "
            f"with the sign rule")

@@ -8,12 +8,8 @@ from opetope_kit import (
     RootedTree,
     are_isomorphic,
     arrow,
-    chain_tree,
-    corpus_fixtures,
-    fork_tree,
     is_dfc,
     is_positive_opetope,
-    nested_tree,
     point,
     three_cell_from_tree,
     three_one,
@@ -22,7 +18,7 @@ from opetope_kit import (
 from opetope_kit import dfc, zpo
 from opetope_kit.io_formats import emit_json
 
-from helpers import chain_tree_cell
+from helpers import chain_tree, chain_tree_cell, corpus_fixtures, fork_tree, nested_tree
 from test_equivalence_random import random_tree
 
 

@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -399,9 +400,14 @@ def test_tree_walks_do_not_recurse(tmp_path, capsys):
      {}, None, 1),
     (["enumerate", "--max-dim", "40", "--max-faces", "40", "--count-only"],
      {}, None, 1),
+    (["validate", "{file}", "--format", "json"], {}, b"[" * 100000, 2),
+    (["validate", "{file}", "--format", "json"], {},
+     b'{"faces":{"a":' + b"9" * 5000 + b"}}", 2),
+    (["validate", "{file}"], {}, b"face a : " + b"9" * 5000 + b"\n", 2),
 ], ids=["non-utf8-input", "negative-max-dim", "zero-max-faces",
         "bad-work-limit", "negative-work-limit", "non-ascii-name-to-dsl",
-        "parse-error-before-base", "deep-budget", "wide-budget"])
+        "parse-error-before-base", "deep-budget", "wide-budget",
+        "deep-json", "long-json-number", "long-dsl-dimension"])
 def test_exit_code_contract(tmp_path, argv, env, content, code):
     """Bad input exits with its contract code and a one-line message.
 
@@ -528,3 +534,42 @@ def test_cli_fuzzed_corpus_keeps_the_exit_code_contract(tmp_path):
                     (argv[0], data)
     assert calls == rounds * len(files) * len(_FUZZ_COMMANDS)
     assert parsed >= 0.1 * rounds * len(files)
+
+
+WRONG_SHAPES = (None, [], {}, "x", 1, -1, True, 1.5)
+
+
+def _json_paths(value, path=()):
+    """The path of ``value`` and of every value nested in it."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _replaced(value, path, new):
+    """A copy of ``value`` with ``new`` at ``path``."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def test_wrong_shape_json_keeps_the_exit_code_contract(monkeypatch):
+    """Every value of every corpus JSON file, the document itself included,
+    replaced by each wrong-shape value and validated in process from
+    stdin: no exception escapes ``main`` and each call returns 0, 1 or 2."""
+    corpus = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+    codes = Counter()
+    for file in sorted(corpus.glob("*.json")):
+        data = json.loads(file.read_text(encoding="utf-8"))
+        for path in _json_paths(data):
+            for value in WRONG_SHAPES:
+                text = json.dumps(_replaced(data, path, value))
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    codes[main(["validate", "-", "--format", "json"])] += 1
+    assert codes == {2: 3306, 0: 52, 1: 26}

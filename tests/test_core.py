@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+import types
 
 import pytest
 
+import opetope_kit
 from opetope_kit import (
     AxiomReport,
     FaceComplex,
@@ -14,16 +16,16 @@ from opetope_kit import (
     ZeroDimensionalFace,
     build_complex,
     compose_morphisms,
-    corpus_fixtures,
     from_hypergraph_view,
     identity_morphism,
-    single_edit_mutations,
     to_hypergraph_view,
     two_cell,
     validate_complex_data,
     validate_morphism,
 )
 from opetope_kit.errors import DimensionTooHigh
+
+from helpers import corpus_fixtures, single_edit_mutations
 
 
 def failed_axioms(result):
@@ -419,3 +421,36 @@ def test_base_reports_are_pinned(small_pops):
         count += 1
     assert count == 1088
     assert digest.hexdigest() == BASE_REPORTS_SHA256
+
+
+PUBLIC_NAMES = [
+    "AmbiguousCompletion", "AxiomReport", "BudgetTooLarge", "ClosedRelation",
+    "ComplexDocument", "DimensionOutOfRange", "DimensionTooHigh", "DimensionTooLow",
+    "DslSyntaxError", "DuplicateDeclaration", "EnumerationBudget", "FaceComplex",
+    "FacePath", "HypergraphView", "InternalInvariantBroken", "InvalidArity",
+    "InvalidComplex", "InvalidTree", "JsonShapeError", "Lozenge", "LozengeError",
+    "Morphism", "NoCompletion", "NonAsciiName", "OpetopeError", "ParseError",
+    "PreconditionViolation", "RootedTree", "SignRuleViolation",
+    "UnknownFaceReference", "Violation", "ZeroDimensionalFace", "ZigZag",
+    "are_isomorphic", "arrow", "build_complex", "canonical_complex",
+    "canonical_form", "check_acyclicity", "check_disjointness", "check_globularity",
+    "check_greatest_element", "check_oriented_thinness", "check_pencil_linearity",
+    "check_principality", "check_strictness", "complete_half_lozenge",
+    "compose_morphisms", "emit_dot_hasse", "emit_dot_tree", "emit_dsl", "emit_json",
+    "enumerate_pops", "enumerate_positive_opetopes", "face_tree",
+    "from_hypergraph_view", "gamma_set", "greatest_element", "identity_morphism",
+    "iota", "is_dfc", "is_lower_path", "is_opetopic_cardinal",
+    "is_positive_opetope", "is_upper_path", "lambda_set", "linear_order_s0",
+    "naive_enumerate_pops", "parse_dsl", "parse_json", "path_to_root", "point",
+    "simple_zigzag", "sources_partition", "three_cell_from_tree", "three_one",
+    "to_hypergraph_view", "two_cell", "validate_complex_data", "validate_morphism",
+    "validate_rooted_tree",
+]
+
+
+def test_package_root_exports_are_pinned():
+    """The package root exports the library and nothing more: test fixtures,
+    corpus fixtures and mutation generators live in the tests."""
+    assert sorted(name for name, value in vars(opetope_kit).items()
+                  if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType)) == PUBLIC_NAMES

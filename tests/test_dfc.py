@@ -15,12 +15,10 @@ from opetope_kit import (
     check_oriented_thinness,
     complete_half_lozenge,
     build_complex,
-    corpus_fixtures,
     face_tree,
     greatest_element,
     is_dfc,
     linear_order_s0,
-    single_edit_mutations,
     three_cell_from_tree,
     two_cell,
     validate_rooted_tree,
@@ -29,9 +27,14 @@ from opetope_kit.errors import DimensionTooLow, LozengeError, PreconditionViolat
 
 from helpers import (
     all_chains,
+    chain_tree,
     chain_tree_cell,
+    corpus_fixtures,
+    fork_tree,
     negative_parenthesis_chains,
+    nested_tree,
     positive_parenthesis_chains,
+    single_edit_mutations,
 )
 
 
@@ -471,8 +474,6 @@ def _malformed_trees():
 def test_rooted_tree_queries_are_pinned(tree_fixtures):
     """Descending paths and children on well-formed trees, then the
     validation reports and query outcomes on malformed ones."""
-    from opetope_kit import chain_tree, fork_tree, nested_tree
-
     trees = [chain_tree(), fork_tree(), nested_tree()]
     cells = [tree_fixtures[name] for name in sorted(tree_fixtures)]
     cells += [corpus_fixtures()[name] for name in sorted(corpus_fixtures())]

@@ -17,17 +17,15 @@ from opetope_kit import (
     is_positive_opetope,
     naive_enumerate_pops,
     point,
-    single_edit_mutations,
     three_cell_from_tree,
     three_one,
     two_cell,
 )
 from opetope_kit import enumeration
 from opetope_kit.enumeration import _profiles
-from opetope_kit.iso import complex_from_certificate
 from opetope_kit.zpo import settled_violations
 
-from helpers import tree_opetope_count
+from helpers import OPETOPES_4_9, single_edit_mutations, tree_opetope_count
 from test_equivalence_random import random_tree
 
 
@@ -223,37 +221,20 @@ def test_census_streams_are_pinned(small_pops, enumerated):
         assert _stream_digest(canonical_form(c) for c in stream) == CENSUS_SHA256[budget], budget
 
 
-# The canonical forms of the (4, 9) stream, which is also the (4, 10) one.
-OPETOPES_4_9 = [
-    ((1,), ()),
-    ((2, 1), (((1, (0,)),),)),
-    ((2, 2, 1), (((1, (0,)), (1, (0,))), ((3, (2,)),))),
-    ((3, 3, 1), (((1, (0,)), (2, (1,)), (2, (0,))), ((5, (3, 4)),))),
-    ((2, 2, 2, 1), (((1, (0,)), (1, (0,))), ((3, (2,)), (3, (2,))), ((5, (4,)),))),
-    ((4, 4, 1), (((1, (0,)), (2, (1,)), (3, (2,)), (3, (0,))), ((7, (4, 5, 6)),))),
-    ((2, 3, 3, 1), (((1, (0,)), (1, (0,)), (1, (0,))), ((3, (2,)), (4, (3,)), (4, (2,))),
-                    ((7, (5, 6)),))),
-    ((3, 3, 2, 1), (((1, (0,)), (2, (1,)), (2, (0,))), ((5, (3, 4)), (5, (3, 4))), ((7, (6,)),))),
-    ((2, 2, 2, 2, 1), (((1, (0,)), (1, (0,))), ((3, (2,)), (3, (2,))), ((5, (4,)), (5, (4,))),
-                       ((7, (6,)),))),
-]
-
-
 def _euler_characteristic(complex_):
     return sum((-1) ** complex_.dim(x) for x in complex_.faces())
 
 
-def test_known_opetopes_have_euler_characteristic_one(enumerated):
+def test_known_opetopes_have_euler_characteristic_one(enumerated, opetopes_4_9):
     """The evidence for the search's profile rule, gathered without the
     search: the (3, 8) census filtered by both suites, the pinned (4, 9)
     stream, tree-built 3-cells and the two_cell ladder."""
     census = [c for c, dfc, zpo in enumerated if dfc.passed and zpo.passed]
     assert len(census) == 5
     assert _stream_digest(OPETOPES_4_9) == STREAM_SHA256[(4, 10)]
-    stream = [complex_from_certificate(c) for c in OPETOPES_4_9]
     trees = [three_cell_from_tree(random_tree(seed)) for seed in range(60)]
     ladder = [two_cell(n) for n in range(1, 51)]
-    for complex_ in [*census, *stream, *trees, *ladder]:
+    for complex_ in [*census, *opetopes_4_9, *trees, *ladder]:
         assert _euler_characteristic(complex_) == 1
         assert len(complex_.stratum(complex_.dimension)) == 1
 
@@ -331,12 +312,12 @@ def _built_edits(cells):
             if isinstance(built := build_complex(*data), FaceComplex)]
 
 
-def test_near_misses_of_the_pinned_opetopes_get_one_verdict():
+def test_near_misses_of_the_pinned_opetopes_get_one_verdict(opetopes_4_9):
     """Every single edit of the (4, 9) opetopes, and every single edit of
     those edits, that passes base validation gets the same verdict from the
     dendritic and the positive-opetope suites.  Some double edits land on
     an opetope again, so both verdicts occur."""
-    single = _built_edits(complex_from_certificate(c) for c in OPETOPES_4_9)
+    single = _built_edits(opetopes_4_9)
     double = _built_edits(single)
     assert (len(single), len(double)) == (28, 212)
     verdicts = [(is_dfc(c).passed, is_positive_opetope(c).passed) for c in single + double]

@@ -8,11 +8,9 @@ from opetope_kit import (
     build_complex,
     canonical_complex,
     canonical_form,
-    corpus_fixtures,
     enumerate_pops,
     enumeration,
     iso,
-    single_edit_mutations,
     three_cell_from_tree,
     two_cell,
     validate_morphism,
@@ -21,13 +19,15 @@ from opetope_kit.core import Morphism
 from opetope_kit.iso import canonical_labeling, complex_from_certificate
 
 from helpers import (
+    OPETOPES_4_9,
     all_relabelings,
     arrow_cycles,
     brute_force_isomorphic,
+    corpus_fixtures,
     disjoint_arrows,
     seeded_relabel,
+    single_edit_mutations,
 )
-from test_enumeration import OPETOPES_4_9
 from test_equivalence_random import random_tree
 
 

@@ -8,7 +8,8 @@ from opetope_kit import (
     sources_partition,
 )
 from opetope_kit.errors import DimensionOutOfRange, PreconditionViolation
-from opetope_kit.relations import closed_plus, lambda_set
+from opetope_kit.relations import lambda_set
+from opetope_kit.zpo import Level
 
 from helpers import (
     cancel_backtracks,
@@ -133,7 +134,7 @@ def test_linear_order(two2, fix_point, fix_arrow):
 def test_linear_order_matches_closure_sort(two2, three1, tree_fixtures):
     for complex_ in [two2, three1] + list(tree_fixtures.values()):
         order = linear_order_s0(complex_)
-        below = order_pairs(closed_plus(complex_, 0))
+        below = order_pairs(Level.of(complex_, 1).plus)
         assert order == predecessor_sort(complex_, below)
         for i, x in enumerate(order):
             for y in order[i + 1:]:

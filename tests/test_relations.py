@@ -20,7 +20,8 @@ from opetope_kit import (
     three_one,
     two_cell,
 )
-from opetope_kit.relations import closed_minus, closed_plus
+from opetope_kit.relations import closed_minus
+from opetope_kit.zpo import Level
 
 from helpers import (
     brute_force_lower_reachable,
@@ -47,14 +48,14 @@ def test_step_minus_dim0_empty_by_definition(fix_point):
 
 
 def test_step_plus_two2(two2, fix_arrow):
-    assert _step_pairs(closed_plus(two2, 0)) == frozenset(
+    assert _step_pairs(Level.of(two2, 1).plus) == frozenset(
         {("x0", "x1"), ("x1", "x2"), ("x0", "x2")})
-    assert _step_pairs(closed_plus(two2, 1)) == frozenset({("f1", "h"), ("f2", "h")})
-    assert _step_pairs(closed_plus(fix_arrow, 1)) == frozenset()
+    assert _step_pairs(Level.of(two2, 2).plus) == frozenset({("f1", "h"), ("f2", "h")})
+    assert _step_pairs(Level.of(fix_arrow, 2).plus) == frozenset()
 
 
 def test_closure_examples(two2):
-    closed = closed_plus(two2, 0)
+    closed = Level.of(two2, 1).plus
     assert order_pairs(closed) == frozenset({("x0", "x1"), ("x1", "x2"), ("x0", "x2")})
     assert order_pairs(closed_from_pairs((), ())) == frozenset()
     cyclic = closed_from_pairs("ab", {("a", "b"), ("b", "a")})
@@ -191,7 +192,7 @@ def _upper_walk_pairs(complex_, k):
 def test_plus_closure_equals_upper_path_reachability(two2, three1, small_pops):
     for complex_ in [two2, three1] + small_pops[:30]:
         for k in range(complex_.dimension + 1):
-            assert order_pairs(closed_plus(complex_, k)) == frozenset(
+            assert order_pairs(Level.of(complex_, k + 1).plus) == frozenset(
                 _upper_walk_pairs(complex_, k))
 
 

@@ -14,12 +14,11 @@ from opetope_kit import (
     check_strictness,
     is_opetopic_cardinal,
     is_positive_opetope,
-    single_edit_mutations,
     three_one,
     two_cell,
 )
 
-from helpers import warshall_closure
+from helpers import corpus_fixtures, single_edit_mutations, warshall_closure
 
 
 def test_globularity_passes(two2, fix_point):
@@ -173,8 +172,6 @@ ZPO_REPORTS_SHA256 = "d1fbf2f2d629470420a503847d5426c52db24cb3ae0006c311c69d2a26
 
 
 def test_zpo_reports_are_pinned(small_pops):
-    from opetope_kit import corpus_fixtures
-
     checks = (is_positive_opetope, is_opetopic_cardinal, check_globularity,
               check_strictness, check_disjointness, check_pencil_linearity,
               check_principality)
