@@ -7,17 +7,20 @@ and prunes partial stages) must stream the same canonical forms, in the
 same order, as ``enumerate_pops`` filtered by ``is_positive_opetope``.
 Both share the prefix deduplication, so ``enumerate_pops`` must also
 stream the same canonical forms, in the same order, as
-``naive_enumerate_pops`` at (3, 7).  At (3, 11) the pruned search's
-count of opetopes at each dimension and face count must equal the
-tree-count oracle of ``tests/helpers.py``, which builds no complex.  Each
-search prints its time and the number of stages it built (dimension-0
-bases included; not for the naive recount, which counts labelled
-assignments), counted by a subclass of the enumerator's ``FaceComplex``.
-Exits 1 on any mismatch.  Takes under a minute on one core:
+``naive_enumerate_pops`` at (3, 7).  At (3, 11) and (4, 11) the pruned
+search's stream must have its pinned SHA-256 (one canonical-form repr per
+line, the format of ``tests/test_enumeration.py``), and its count of
+opetopes at each dimension <= 3 and face count must equal the tree-count
+oracle of ``tests/helpers.py``, which builds no complex.  Each search
+prints its time and the number of stages it built (dimension-0 bases
+included; not for the naive recount, which counts labelled assignments),
+counted by a subclass of the enumerator's ``FaceComplex``.  Exits 1 on any
+mismatch.  Takes under a minute on one core:
 
     python3 scripts/check_opetope_stream.py
 """
 
+import hashlib
 import pathlib
 import sys
 import time
@@ -41,7 +44,12 @@ from helpers import tree_opetope_count  # noqa: E402
 
 BUDGETS = ((3, 9), (4, 9))
 NAIVE_BUDGET = (3, 7)
-ORACLE_BUDGET = (3, 11)
+# SHA-256 and length of the pruned streams, first computed when every
+# candidate was still built before it was checked.
+PINNED = {
+    (3, 11): ("a713a62c63c12831343825fbd8722e14a33dfa7e82c24d19662e33f26f93417a", 14),
+    (4, 11): ("a6c31a0bbf3b68b010c438ee0aaf3c5b5db36e62bac42ad658c9ce80b3c3dbdb", 18),
+}
 
 built = 0
 
@@ -86,17 +94,23 @@ def main() -> int:
     print(f"{NAIVE_BUDGET}: enumerated {len(clever)} classes in {middle - start:.1f} s "
           f"from {stages} stages; "
           f"naive recount {len(naive)} in {end - middle:.1f} s: {verdict}", flush=True)
-    max_dim, max_faces = ORACLE_BUDGET
-    start, before = time.perf_counter(), built
-    found = Counter((c.dimension, len(c))
-                    for c in enumerate_positive_opetopes(EnumerationBudget(max_dim, max_faces)))
-    end = time.perf_counter()
-    expected = {(d, n): tree_opetope_count(d, n)
-                for d in range(max_dim + 1) for n in range(1, max_faces + 1)}
-    verdict = "ok" if {key: found[key] for key in expected} == expected else "MISMATCH"
-    failed |= verdict != "ok"
-    print(f"{ORACLE_BUDGET}: pruned {sum(found.values())} opetopes in {end - start:.1f} s "
-          f"from {built - before} stages; tree counts: {verdict}", flush=True)
+    for (max_dim, max_faces), (pinned, length) in PINNED.items():
+        start, before = time.perf_counter(), built
+        stream = list(enumerate_positive_opetopes(EnumerationBudget(max_dim, max_faces)))
+        end = time.perf_counter()
+        digest = hashlib.sha256()
+        for c in stream:
+            digest.update(repr(canonical_form(c)).encode() + b"\n")
+        found = Counter((c.dimension, len(c)) for c in stream)
+        expected = {(d, n): tree_opetope_count(d, n)
+                    for d in range(4) for n in range(1, max_faces + 1)}
+        ok = digest.hexdigest() == pinned and len(stream) == length
+        trees = {key: found[key] for key in expected} == expected
+        failed |= not (ok and trees)
+        print(f"({max_dim}, {max_faces}): pruned {len(stream)} opetopes in "
+              f"{end - start:.1f} s from {built - before} stages; pinned digest: "
+              f"{'ok' if ok else 'MISMATCH'}; tree counts: {'ok' if trees else 'MISMATCH'}",
+              flush=True)
     return 1 if failed else 0
 
 

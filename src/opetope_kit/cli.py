@@ -238,8 +238,11 @@ def cmd_morphism(args) -> int:
         if "=>" not in stripped:
             print(f"map line {lineno}: expected 'a => b'", file=sys.stderr)
             return PARSE_FAIL
-        left, _, right = stripped.partition("=>")
-        mapping[left.strip()] = right.strip()
+        left, _, right = (part.strip() for part in stripped.partition("=>"))
+        if left in mapping:
+            print(f"map line {lineno}: {left} is mapped twice", file=sys.stderr)
+            return PARSE_FAIL
+        mapping[left] = right
     try:
         report = validate_morphism(Morphism(source, target, mapping))
     except OpetopeError as err:

@@ -33,6 +33,14 @@ step rests on the face-tree and sources-partition theorems, and
 ``scripts/check_opetope_stream.py`` checks the pruned stream against the
 filtered full one at (3, 9) and (4, 9).
 
+Within one parent the opetope search also skips an assignment multiset
+when a swap of two twins of the parent's top stratum (faces with one target
+and one source set, or two points) maps it to a smaller one.  A top face
+has no cofaces, so the swap is an automorphism of the parent and maps each
+extension to an isomorphic one.  The least multiset of an orbit is never
+skipped, as every swap maps it into its orbit; canonical forms deduplicate
+what is left.  This is a partial form of McKay's isomorph rejection.
+
 A second, deliberately naive generator walks the full labelled assignment
 space and keeps whatever survives the base validator.  It exists so that
 frozen census numbers never rest on the clever path alone.
@@ -159,6 +167,34 @@ def _naive_options(below: tuple[str, ...], k: int) -> list[tuple[str, frozenset[
     return sorted(opts, key=lambda ts: (ts[0], sorted(ts[1])))
 
 
+def _twin_swaps(parent: FaceComplex, top: tuple[str, ...], options) -> list[list[int]]:
+    """For each pair of twins among the parent's top faces (one target and one
+    source set, or two points), the permutation of option indices it induces."""
+    points, gamma, delta = parent.dimension == 0, parent.gamma, parent.delta
+    index = {option: i for i, option in enumerate(options)}
+    swaps = []
+    for a, b in itertools.combinations(top, 2):
+        if points or (gamma(a), delta(a)) == (gamma(b), delta(b)):
+            swap = {a: b, b: a}
+            swaps.append([index[swap.get(t, t), frozenset(swap.get(s, s) for s in sources)]
+                          for t, sources in options])
+    return swaps
+
+
+def _least_multisets(options, n: int, swaps, prefix=()) -> Iterator[list]:
+    """The ``n``-multisets of ``options``, in order, that no swap lowers, as
+    sorted lists of option indices compare.  A prefix that a swap lowers has
+    only such extensions, so it is cut."""
+    for i in range(prefix[-1] if prefix else 0, len(options)):
+        combo = [*prefix, i]
+        if any(sorted([swap[j] for j in combo]) < combo for swap in swaps):
+            continue
+        if len(combo) == n:
+            yield [options[j] for j in combo]
+        else:
+            yield from _least_multisets(options, n, swaps, combo)
+
+
 def _classes(budget: EnumerationBudget, meter: _WorkMeter,
              opetopes_only: bool) -> Iterator[dict[Certificate, FaceComplex]]:
     """Each profile's classes, as a map from canonical form to representative.
@@ -190,7 +226,11 @@ def _classes(budget: EnumerationBudget, meter: _WorkMeter,
             options, classes = _options(names[k - 1], k), {}
             for parent in path[-1].values():
                 minus = closed_minus(parent, k - 1) if opetopes_only else None
-                for combo in itertools.combinations_with_replacement(options, profile[k]):
+                combos = (_least_multisets(options, profile[k],
+                                           _twin_swaps(parent, names[k - 1], options))
+                          if opetopes_only else
+                          itertools.combinations_with_replacement(options, profile[k]))
+                for combo in combos:
                     meter.tick()
                     if opetopes_only and next(level_violations(
                             Level(k, parent, names[k], combo, minus)), None) is not None:

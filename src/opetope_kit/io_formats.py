@@ -170,6 +170,17 @@ def emit_dsl(complex_: FaceComplex) -> str:
 # -- JSON -----------------------------------------------------------------
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise JsonShapeError("$", f"key {key!r} appears twice in one object")
+            seen.add(key)
+    return data
+
+
 def parse_json(text: str) -> ComplexDocument:
     """Parse and shape-check the JSON format.
 
@@ -180,7 +191,7 @@ def parse_json(text: str) -> ComplexDocument:
     are otherwise ignored: they do not reach the document.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise JsonShapeError("$", f"not valid JSON: {err}") from None
     except (RecursionError, ValueError) as err:  # too deep, or too many digits

@@ -216,10 +216,12 @@ def _arrow_json(**changes):
      "at sources.f: must be a nonempty array of face names"),
     ("validate", _arrow_json(sources={}), "at sources.f: missing"),
     ("validate", _arrow_json(target={}), "at target.f: missing"),
+    ("validate", '{"faces": {"x": 0, "x": 1}}', "at $: key 'x' appears twice in one object"),
     ("morphism", "x -> x\n", "map line 1: expected 'a => b'"),
+    ("morphism", "x => x\nx => y\ny => y\nf => f\n", "map line 2: x is mapped twice"),
 ], ids=["top-level-array", "no-faces", "faces-array", "target-array", "sources-array",
         "point-with-sources", "empty-sources", "missing-sources", "missing-target",
-        "map-line-without-arrow"])
+        "duplicate-key", "map-line-without-arrow", "face-mapped-twice"])
 def test_parse_errors_exit_2_with_one_line(tmp_path, capsys, command, text, message):
     """``text`` is the validated document, or the map file of a morphism
     from the arrow to itself."""
@@ -404,10 +406,16 @@ def test_tree_walks_do_not_recurse(tmp_path, capsys):
     (["validate", "{file}", "--format", "json"], {},
      b'{"faces":{"a":' + b"9" * 5000 + b"}}", 2),
     (["validate", "{file}"], {}, b"face a : " + b"9" * 5000 + b"\n", 2),
+    (["validate", "{file}", "--format", "json"], {}, b'{"faces":{"x":1,"x":0}}', 2),
+    (["morphism", "--from", "{arrow}", "--to", "{arrow}", "--map", "{map}"],
+     {}, {"arrow": b'{"faces":{"x":0,"y":0,"f":1},"target":{"f":"y"},'
+                   b'"sources":{"f":["x"]}}',
+          "map": b"x => x\nx => y\ny => y\nf => f\n"}, 2),
 ], ids=["non-utf8-input", "negative-max-dim", "zero-max-faces",
         "bad-work-limit", "negative-work-limit", "non-ascii-name-to-dsl",
         "parse-error-before-base", "deep-budget", "wide-budget",
-        "deep-json", "long-json-number", "long-dsl-dimension"])
+        "deep-json", "long-json-number", "long-dsl-dimension",
+        "duplicate-json-key", "face-mapped-twice"])
 def test_exit_code_contract(tmp_path, argv, env, content, code):
     """Bad input exits with its contract code and a one-line message.
 
