@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Print how ``is_dfc`` scales on two families of dendritic cells.
+"""Print how ``is_dfc`` scales on three families of dendritic cells.
 
 For the chain-tree 3-cells of ``tests/helpers.py`` with 300 / 600 / 1200 /
 2400 nodes (a chain of binary nodes, each child plugged into its parent's
-first slot, so the first point is the source of every slot arrow) and for
-``two_cell(n)`` with n = 250 / 500 / 1000 / 2000, it prints the best of
-three ``is_dfc`` times and the adjacency entries ``is_dfc`` reads per face
-(the summed lengths of what ``FaceComplex.covers``, ``cofaces`` and
-``delta`` return, and of both tuples ``pencils`` returns).  A flat
+first slot, so the first point is the source of every slot arrow), for its
+two-sided tree cells with n = 300 / 600 / 1200 (two such chains of n nodes
+below one root, so the middle point ends and starts about n arrows each)
+and for ``two_cell(n)`` with n = 250 / 500 / 1000 / 2000, it prints the best of
+three ``is_dfc`` times, the best of three times of each of its checks
+(greatest element, oriented thinness, acyclicity), and the adjacency
+entries ``is_dfc`` reads per face (the summed lengths of what
+``FaceComplex.covers``, ``cofaces`` and ``delta`` return, one per
+``gamma`` call, and of both tuples ``pencils`` returns).  A flat
 entries-per-face column means linear work.
 Exits 1 only if a cell fails ``is_dfc``; times are printed, never judged.
 Takes a few seconds:
@@ -22,11 +26,12 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from helpers import chain_tree_cell  # noqa: E402
-from opetope_kit import FaceComplex, is_dfc, two_cell  # noqa: E402
+from helpers import chain_tree_cell, two_sided_tree_cell  # noqa: E402
+from opetope_kit import (FaceComplex, check_acyclicity, check_greatest_element,  # noqa: E402
+                         check_oriented_thinness, is_dfc, two_cell)
 
 # each counted accessor, with the number of entries in what it returns
-ACCESSORS = {"covers": len, "cofaces": len, "delta": len,
+ACCESSORS = {"covers": len, "cofaces": len, "delta": len, "gamma": lambda _: 1,
              "pencils": lambda pencils: len(pencils[0]) + len(pencils[1])}
 
 
@@ -53,20 +58,34 @@ def entries_read(complex_: FaceComplex) -> int:
     return reads
 
 
+CHECKS = {"greatest s": check_greatest_element, "thinness s": check_oriented_thinness,
+          "acyclic s": check_acyclicity}
+
+
+def best_of_three(check, complex_) -> tuple[float, object]:
+    """The least of three timed calls, and the last call's result."""
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = check(complex_)
+        seconds.append(time.perf_counter() - start)
+    return min(seconds), result
+
+
 def main() -> int:
     failed = False
-    print(f"{'cell':24} {'faces':>7} {'is_dfc s':>10} {'entries/face':>13}")
+    print(f"{'cell':24} {'faces':>7} {'is_dfc s':>10}"
+          + "".join(f" {name:>11}" for name in CHECKS) + f" {'entries/face':>13}")
     cells = [(f"chain-tree cell {n}", lambda n=n: chain_tree_cell(n)) for n in (300, 600, 1200, 2400)]
+    cells += [(f"two-sided cell {n}", lambda n=n: two_sided_tree_cell(n)) for n in (300, 600, 1200)]
     cells += [(f"two_cell({n})", lambda n=n: two_cell(n)) for n in (250, 500, 1000, 2000)]
     for label, build in cells:
         complex_ = build()
-        seconds = []
-        for _ in range(3):
-            start = time.perf_counter()
-            report = is_dfc(complex_)
-            seconds.append(time.perf_counter() - start)
+        total, report = best_of_three(is_dfc, complex_)
+        parts = [best_of_three(check, complex_)[0] for check in CHECKS.values()]
         per_face = entries_read(complex_) / len(complex_)
-        print(f"{label:24} {len(complex_):>7} {min(seconds):>10.4f} {per_face:>13.2f}"
+        print(f"{label:24} {len(complex_):>7} {total:>10.4f}"
+              + "".join(f" {part:>11.4f}" for part in parts) + f" {per_face:>13.2f}"
               + ("" if report.passed else "  FAILS is_dfc"))
         failed |= not report.passed
     return 1 if failed else 0

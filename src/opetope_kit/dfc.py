@@ -11,6 +11,7 @@ this package walk that tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 from .core import (
@@ -43,14 +44,14 @@ def greatest_element(complex_: FaceComplex) -> str | None:
 
 
 def check_greatest_element(complex_: FaceComplex) -> AxiomReport:
-    # one walk per top face: their downsets' union decides the pass and
-    # names the witness, the first face outside it or a second top face
+    # a single top face is greatest when every other face is covered by
+    # some face; the downsets of the top faces only name a failure's witness
     top = complex_.stratum(complex_.dimension)
+    if len(top) == 1 and all(map(any, map(complex_.pencils, complex_.faces()[:-1]))):
+        return AxiomReport()
     covered: set[str] = set()
     for x in top:
         covered |= complex_.downset(x)
-    if len(top) == 1 and len(covered) == len(complex_):
-        return AxiomReport()
     missing = sorted(set(complex_.faces()) - covered)
     if missing:
         witness = missing[0]
@@ -139,51 +140,65 @@ def check_oriented_thinness(complex_: FaceComplex) -> AxiomReport:
     """Every two-step chain must complete to a unique sign-rule lozenge.
 
     Each face ``x`` of dimension >= 2 is done in one pass: the chains
-    ``z < y < x`` are read from the covers of ``x`` and of each ``y``, and
-    grouped by their bottom face ``z``.  The completions of a chain are the
-    faces other than ``y`` that cover ``z`` and are covered by ``x``; each
-    of them is the middle face of a chain from ``z`` to ``x``, so they are
-    exactly the other entries of ``z``'s group, with the same signs that
-    ``complete_half_lozenge`` reads from the pencils of ``z``.
+    ``z < y < x`` are read from the targets and sources of ``x`` and of
+    each ``y``, and grouped by their bottom face ``z``.  The completions of
+    a chain are the faces other than ``y`` that cover ``z`` and are covered
+    by ``x``; each of them is the middle face of a chain from ``z`` to
+    ``x``, so they are exactly the other entries of ``z``'s group, with the
+    same signs that ``complete_half_lozenge`` reads from the pencils of
+    ``z``.  A group of two chains that obey the sign rule is a lozenge and
+    passes; only the other groups complete each chain to name its failure.
     """
     bad: list[Violation] = []
-    for x in complex_.faces():
-        if complex_.dim(x) < 2:
-            continue
-        chains = []
+    for x in chain.from_iterable(map(complex_.stratum, range(2, complex_.dimension + 1))):
         below: dict[str, list[tuple[str, str, str]]] = {}
-        for y, alpha in complex_.covers(x):
-            for z, beta in complex_.covers(y):
-                chains.append((z, y, alpha, beta))
-                below.setdefault(z, []).append((y, alpha, beta))
-        for z, y, alpha, beta in chains:
-            others = [entry for entry in below[z] if entry[0] != y]
-            try:
-                _completion(z, y, x, alpha, beta, others)
-            except LozengeError as err:
-                bad.append(Violation("oriented-thinness", (z, y, x), str(err)))
+        for y, alpha in ((complex_.gamma(x), PLUS), *((y, MINUS) for y in complex_.delta(x))):
+            below.setdefault(complex_.gamma(y), []).append((y, alpha, PLUS))
+            for z in complex_.delta(y):
+                below.setdefault(z, []).append((y, alpha, MINUS))
+        for z, group in below.items():
+            # a lozenge: two chains whose sign products differ (the sign rule,
+            # inlined as it runs once per bottom face)
+            if len(group) == 2 and (group[0][1] == group[0][2]) != (group[1][1] == group[1][2]):
+                continue
+            for y, alpha, beta in group:
+                try:
+                    _completion(z, y, x, alpha, beta, [entry for entry in group if entry[0] != y])
+                except LozengeError as err:
+                    bad.append(Violation("oriented-thinness", (z, y, x), str(err)))
     return AxiomReport.of(bad)
 
 
 def check_acyclicity(complex_: FaceComplex) -> AxiomReport:
     """Within the sources of any face the relation 'target of one is a
-    source of the other' has no directed cycle."""
+    source of the other' has no directed cycle.
+
+    A cycle among the sources of a face of dimension k maps, through their
+    targets, to a cycle of the plus steps on stratum k - 2 (each source of
+    a face one dimension up steps to its target).  So one walk over those
+    steps, read from the stored pencils, clears every face of dimension k
+    when it finds no cycle; only otherwise is each face walked on its own,
+    to name its cycle.
+    """
     bad: list[Violation] = []
-    for x in complex_.faces():
-        if complex_.dim(x) < 2:
+    for k in range(2, complex_.dimension + 1):
+        steps = {w: [complex_.gamma(y) for y in complex_.pencils(w)[1]]
+                 for w in complex_.stratum(k - 2)}
+        if not _directed_cycle(steps):
             continue
-        sources = complex_.delta(x)
-        # each face below the sources, to the sources it is a source of
-        consumers: dict[str, list[str]] = {}
-        for y in sources:
-            for w in complex_.delta(y):
-                consumers.setdefault(w, []).append(y)
-        edges = {y2: consumers.get(complex_.gamma(y2), []) for y2 in sources}
-        cycle = _directed_cycle(edges)
-        if cycle:
-            bad.append(Violation(
-                "acyclicity", tuple(cycle),
-                f"sources of {x} contain the cycle {' -> '.join(cycle + [cycle[0]])}"))
+        for x in complex_.stratum(k):
+            sources = complex_.delta(x)
+            # each face below the sources, to the sources it is a source of
+            consumers: dict[str, list[str]] = {}
+            for y in sources:
+                for w in complex_.delta(y):
+                    consumers.setdefault(w, []).append(y)
+            edges = {y2: consumers.get(complex_.gamma(y2), []) for y2 in sources}
+            cycle = _directed_cycle(edges)
+            if cycle:
+                bad.append(Violation(
+                    "acyclicity", tuple(cycle),
+                    f"sources of {x} contain the cycle {' -> '.join(cycle + [cycle[0]])}"))
     return AxiomReport.of(bad)
 
 

@@ -227,6 +227,22 @@ def chain_tree_cell(n: int) -> FaceComplex:
         RootedTree(frozenset(nodes), arity, frozenset(triplets), nodes[0]))
 
 
+def two_sided_tree_cell(n: int) -> FaceComplex:
+    """The 3-cell of a binary root whose first slot holds a chain of ``n``
+    binary nodes, each plugged into its parent's last slot, and whose last
+    slot holds such a chain plugged into first slots: the point between
+    the two halves ends about ``n`` arrows and starts about ``n``."""
+    arity = {"r": frozenset({"p", "q"})}
+    triplets = {("r", "p", "l00000"), ("r", "q", "m00000")}
+    for i in range(n):
+        arity[f"l{i:05d}"] = frozenset({f"la{i:05d}", f"lb{i:05d}"})
+        arity[f"m{i:05d}"] = frozenset({f"ma{i:05d}", f"mb{i:05d}"})
+        if i + 1 < n:
+            triplets.add((f"l{i:05d}", f"lb{i:05d}", f"l{i + 1:05d}"))
+            triplets.add((f"m{i:05d}", f"ma{i:05d}", f"m{i + 1:05d}"))
+    return three_cell_from_tree(RootedTree(frozenset(arity), arity, frozenset(triplets), "r"))
+
+
 def seeded_relabel(complex_: FaceComplex, seed: int) -> FaceComplex:
     """The complex with its faces renamed in a seeded random order."""
     names = list(complex_.faces())

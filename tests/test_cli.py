@@ -219,14 +219,24 @@ def _arrow_json(**changes):
     ("validate", '{"faces": {"x": 0, "x": 1}}', "at $: key 'x' appears twice in one object"),
     ("morphism", "x -> x\n", "map line 1: expected 'a => b'"),
     ("morphism", "x => x\nx => y\ny => y\nf => f\n", "map line 2: x is mapped twice"),
+    ("morphism", "x =>\ny => y\nf => f\n", "map sends x to unknown face ''"),
+    ("morphism", "=> x\nx => x\ny => y\nf => f\n", "map mentions unknown source face ''"),
+    ("morphism", "x => x => y\ny => y\nf => f\n", "map sends x to unknown face 'x => y'"),
+    ("morphism", "x => x\x00\ny => y\nf => f\n", "map sends x to unknown face 'x\\x00'"),
+    ("morphism", b"x => x\ny => \xff\nf => f\n",
+     "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte"),
+    ("morphism", None, "[Errno 2] No such file or directory: '{path}'"),
 ], ids=["top-level-array", "no-faces", "faces-array", "target-array", "sources-array",
         "point-with-sources", "empty-sources", "missing-sources", "missing-target",
-        "duplicate-key", "map-line-without-arrow", "face-mapped-twice"])
+        "duplicate-key", "map-line-without-arrow", "face-mapped-twice", "map-no-image",
+        "map-no-preimage", "map-two-arrows", "map-nul-byte", "map-invalid-utf8",
+        "map-missing-file"])
 def test_parse_errors_exit_2_with_one_line(tmp_path, capsys, command, text, message):
     """``text`` is the validated document, or the map file of a morphism
-    from the arrow to itself."""
+    from the arrow to itself (None: no such file)."""
     path = tmp_path / "input"
-    path.write_text(text)
+    if text is not None:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     arrow = tmp_path / "arrow.json"
     arrow.write_text(_arrow_json())
     argv = {"validate": ["validate", str(path), "--format", "json"],
@@ -235,7 +245,7 @@ def test_parse_errors_exit_2_with_one_line(tmp_path, capsys, command, text, mess
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == message + "\n"
+    assert captured.err == message.format(path=path) + "\n"
 
 
 def test_enumerate_count(capsys):
@@ -581,3 +591,60 @@ def test_wrong_shape_json_keeps_the_exit_code_contract(monkeypatch):
                         contextlib.redirect_stderr(io.StringIO()):
                     codes[main(["validate", "-", "--format", "json"])] += 1
     assert codes == {2: 3306, 0: 52, 1: 26}
+
+
+def _run_in_process(argv):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# map files from the arrow into two_cell(2): an embedding, and a map that
+# breaks target-commuting (the target y of f goes to x2, not to x1)
+_ARROW_MAPS = (b"# embedding\nx => x0\ny => x1\nf => f1\n",
+               b"# not a morphism\nx => x0\ny => x2\nf => f1\n")
+
+
+def test_mutated_map_files_keep_the_exit_code_contract(tmp_path):
+    """Seeded byte edits of two map files from the arrow into two_cell(2),
+    one that passes and one that fails: each call returns 0, 1 or 2,
+    prints no traceback, and writes one stderr line exactly when it exits
+    2."""
+    rng = random.Random(5)
+    source, target, map_file = tmp_path / "arrow.json", tmp_path / "two2.json", tmp_path / "map"
+    source.write_text(_arrow_json())
+    target.write_text(emit_json(two_cell(2)))
+    argv = ["morphism", "--from", str(source), "--to", str(target), "--map", str(map_file)]
+    donors = list(_ARROW_MAPS) + [b"=> # =>", "é => ü\n".encode("utf-8")]
+    codes = Counter()
+    for number in range(150):
+        data = _mutate(_ARROW_MAPS[number % 2], rng, donors)
+        map_file.write_bytes(data)
+        code, _, err = _run_in_process(argv)
+        codes[code] += 1
+        assert code in (0, 1, 2) and "Traceback" not in err, data
+        assert len(err.splitlines()) == (code == 2), (data, err)
+    assert codes == {0: 36, 1: 32, 2: 82}
+
+
+def test_mutated_enumerate_arguments_keep_the_exit_code_contract(monkeypatch):
+    """Seeded ``enumerate`` calls with out-of-range or extreme budgets,
+    random flags and tiny or malformed work limits: each returns 0, 1 or 2
+    and writes one stderr line exactly when it does not exit 0."""
+    rng = random.Random(3)
+    sizes = ["-7", "-1", "0", "1", "2", "3", "5", "8", "13", "40", "1500", str(10 ** 30)]
+    limits = ["0", "1", "3", "12", "40", "-1", "abc", "1.5", " 2 ", "+4", "1_0", "0x10", "٣"]
+    flags = ["--opetopes-only", "--count-only"]
+    codes = Counter()
+    for _ in range(150):
+        limit = rng.choice(limits)
+        monkeypatch.setenv("OPETOPE_KIT_WORK_LIMIT", limit)
+        argv = ["enumerate", "--max-dim", rng.choice(sizes), "--max-faces", rng.choice(sizes)]
+        argv += [flag for flag in flags if rng.random() < 0.5]
+        code, _, err = _run_in_process(argv)
+        codes[code] += 1
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, limit)
+        assert len(err.splitlines()) == (code != 0), (argv, limit, err)
+    assert codes == {0: 14, 1: 41, 2: 95}

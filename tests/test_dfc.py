@@ -35,6 +35,7 @@ from helpers import (
     nested_tree,
     positive_parenthesis_chains,
     single_edit_mutations,
+    two_sided_tree_cell,
 )
 
 
@@ -103,7 +104,31 @@ def test_oriented_thinness_mutation(two2):
     sources["h"] = frozenset({"x1"})
     broken = FaceComplex(dims, target, sources)
     report = check_oriented_thinness(broken)
-    assert not report.passed
+    assert [(v.witnesses, v.detail) for v in report.violations] == [
+        (("x0", "f1", "alpha"), "no completing face (chain x0 < f1 < alpha)"),
+        (("x1", "f1", "alpha"), "several completing faces: f2, h (chain x1 < f1 < alpha)"),
+        (("x1", "f2", "alpha"), "several completing faces: f1, h (chain x1 < f2 < alpha)"),
+        (("x1", "h", "alpha"), "several completing faces: f1, f2 (chain x1 < h < alpha)"),
+    ]
+
+
+def test_oriented_thinness_reports_both_chains_of_a_sign_breaking_lozenge(two2):
+    """Reversing h in two_cell(2) keeps both diamonds below alpha, with
+    two chains each, but breaks the sign rule on both: each chain of each
+    diamond is reported, not one per diamond."""
+    dims, target, sources = two2.to_data()
+    target["h"], sources["h"] = "x0", frozenset({"x2"})
+    report = check_oriented_thinness(FaceComplex(dims, target, sources))
+    assert [(v.witnesses, v.detail) for v in report.violations] == [
+        (("x0", "f1", "alpha"),
+         "completion h breaks the sign rule ('-', '-', '+', '+') (chain x0 < f1 < alpha)"),
+        (("x0", "h", "alpha"),
+         "completion f1 breaks the sign rule ('+', '+', '-', '-') (chain x0 < h < alpha)"),
+        (("x2", "f2", "alpha"),
+         "completion h breaks the sign rule ('-', '+', '+', '-') (chain x2 < f2 < alpha)"),
+        (("x2", "h", "alpha"),
+         "completion f2 breaks the sign rule ('+', '-', '-', '+') (chain x2 < h < alpha)"),
+    ]
 
 
 def test_lozenge_completion_involution(two2, three1, tree_fixtures):
@@ -408,8 +433,10 @@ def test_half_lozenge_completion_reads_the_bottom_pencils(monkeypatch):
 def test_is_dfc_work_per_face_is_flat(monkeypatch):
     """The adjacency entries ``is_dfc`` reads per face do not grow with the
     depth of a chain-tree cell, whose first point is the source of every
-    slot arrow."""
-    cells = {n: chain_tree_cell(n) for n in (300, 1200)}
+    slot arrow, nor of a two-sided tree cell, whose middle point ends and
+    starts about half of them."""
+    cells = {(family, n): family(n) for family in (chain_tree_cell, two_sided_tree_cell)
+             for n in (300, 1200)}
     reads = 0
 
     def counting(method, size):
@@ -420,16 +447,17 @@ def test_is_dfc_work_per_face_is_flat(monkeypatch):
             return out
         return wrapped
 
-    sizes = {"covers": len, "cofaces": len, "delta": len,
+    sizes = {"covers": len, "cofaces": len, "delta": len, "gamma": lambda _: 1,
              "pencils": lambda pencils: len(pencils[0]) + len(pencils[1])}
     for name, size in sizes.items():
         monkeypatch.setattr(FaceComplex, name, counting(getattr(FaceComplex, name), size))
     per_face = {}
-    for n, complex_ in cells.items():
+    for (family, n), complex_ in cells.items():
         reads = 0
         assert is_dfc(complex_).passed
-        per_face[n] = reads / len(complex_)
-    assert per_face[1200] <= 1.1 * per_face[300], per_face
+        per_face[family.__name__, n] = reads / len(complex_)
+    for family in (chain_tree_cell, two_sided_tree_cell):
+        assert per_face[family.__name__, 1200] <= 1.1 * per_face[family.__name__, 300], per_face
 
 
 ROOTED_TREE_QUERIES_SHA256 = "f8b013a5a33d49fd1de87d9f0f71ec0f81fe96c160116d87c825f6dfcd2d22fb"
