@@ -11,11 +11,13 @@ stream the same canonical forms, in the same order, as
 search's stream must have its pinned SHA-256 (one canonical-form repr per
 line, the format of ``tests/test_enumeration.py``), and its count of
 opetopes at each dimension <= 3 and face count must equal the tree-count
-oracle of ``tests/helpers.py``, which builds no complex.  Each search
-prints its time and the number of stages it built (dimension-0 bases
-included; not for the naive recount, which counts labelled assignments),
-counted by a subclass of the enumerator's ``FaceComplex``.  Exits 1 on any
-mismatch.  Takes under a minute on one core:
+oracle of ``tests/helpers.py``, which builds no complex.  Each run prints
+its time, the number of stages it built (dimension-0 bases included; none
+for the naive recount), counted by a subclass of the enumerator's
+``FaceComplex``, and its work-meter ticks: the profiles visited and
+assignments tried that the work limit counts (labelled assignments for
+the naive recount).  Exits 1 on any mismatch.  Takes under a minute on
+one core:
 
     python3 scripts/check_opetope_stream.py
 """
@@ -51,7 +53,7 @@ PINNED = {
     (4, 11): ("a6c31a0bbf3b68b010c438ee0aaf3c5b5db36e62bac42ad658c9ce80b3c3dbdb", 18),
 }
 
-built = 0
+built = ticks = 0
 
 
 class _Counting(FaceComplex):
@@ -66,38 +68,47 @@ class _Counting(FaceComplex):
         super().__init__(*args, **kwargs)
 
 
+_tick = enumeration._WorkMeter.tick
+
+
+def _counting_tick(meter) -> None:
+    global ticks
+    ticks += 1
+    _tick(meter)
+
+
+def _run(search, budget):
+    """The complexes ``search(budget)`` yields, and a note of the seconds,
+    stages built and work-meter ticks it took."""
+    start, stages, work = time.perf_counter(), built, ticks
+    result = list(search(EnumerationBudget(*budget)))
+    return result, (f"in {time.perf_counter() - start:.1f} s from {built - stages} "
+                    f"stages, {ticks - work} ticks")
+
+
 def main() -> int:
     enumeration.FaceComplex = _Counting
+    enumeration._WorkMeter.tick = _counting_tick
     failed = False
-    for max_dim, max_faces in BUDGETS:
-        budget = EnumerationBudget(max_dim, max_faces)
-        start, before = time.perf_counter(), built
-        pruned = [canonical_form(c) for c in enumerate_positive_opetopes(budget)]
-        middle, between = time.perf_counter(), built
-        classes = list(enumerate_pops(budget))
+    for budget in BUDGETS:
+        pruned, pruned_note = _run(enumerate_positive_opetopes, budget)
+        classes, classes_note = _run(enumerate_pops, budget)
+        pruned = [canonical_form(c) for c in pruned]
         filtered = [canonical_form(c) for c in classes if is_positive_opetope(c).passed]
-        end = time.perf_counter()
-        verdict = "ok" if pruned == filtered else "MISMATCH"
         failed |= pruned != filtered
-        print(f"({max_dim}, {max_faces}): pruned {len(pruned)} opetopes in "
-              f"{middle - start:.1f} s from {between - before} stages; filtered "
-              f"{len(filtered)} of {len(classes)} classes in {end - middle:.1f} s "
-              f"from {built - between} stages: {verdict}", flush=True)
-    budget = EnumerationBudget(*NAIVE_BUDGET)
-    start, before = time.perf_counter(), built
-    clever = [canonical_form(c) for c in enumerate_pops(budget)]
-    middle, stages = time.perf_counter(), built - before
-    naive = [canonical_form(c) for c in naive_enumerate_pops(budget)]
-    end = time.perf_counter()
-    verdict = "ok" if clever == naive else "MISMATCH"
+        print(f"{budget}: pruned {len(pruned)} opetopes {pruned_note}; filtered "
+              f"{len(filtered)} of {len(classes)} classes {classes_note}: "
+              f"{'ok' if pruned == filtered else 'MISMATCH'}", flush=True)
+    clever, clever_note = _run(enumerate_pops, NAIVE_BUDGET)
+    naive, naive_note = _run(naive_enumerate_pops, NAIVE_BUDGET)
+    clever = [canonical_form(c) for c in clever]
+    naive = [canonical_form(c) for c in naive]
     failed |= clever != naive
-    print(f"{NAIVE_BUDGET}: enumerated {len(clever)} classes in {middle - start:.1f} s "
-          f"from {stages} stages; "
-          f"naive recount {len(naive)} in {end - middle:.1f} s: {verdict}", flush=True)
+    print(f"{NAIVE_BUDGET}: enumerated {len(clever)} classes {clever_note}; "
+          f"naive recount {len(naive)} {naive_note}: "
+          f"{'ok' if clever == naive else 'MISMATCH'}", flush=True)
     for (max_dim, max_faces), (pinned, length) in PINNED.items():
-        start, before = time.perf_counter(), built
-        stream = list(enumerate_positive_opetopes(EnumerationBudget(max_dim, max_faces)))
-        end = time.perf_counter()
+        stream, note = _run(enumerate_positive_opetopes, (max_dim, max_faces))
         digest = hashlib.sha256()
         for c in stream:
             digest.update(repr(canonical_form(c)).encode() + b"\n")
@@ -107,10 +118,9 @@ def main() -> int:
         ok = digest.hexdigest() == pinned and len(stream) == length
         trees = {key: found[key] for key in expected} == expected
         failed |= not (ok and trees)
-        print(f"({max_dim}, {max_faces}): pruned {len(stream)} opetopes in "
-              f"{end - start:.1f} s from {built - before} stages; pinned digest: "
-              f"{'ok' if ok else 'MISMATCH'}; tree counts: {'ok' if trees else 'MISMATCH'}",
-              flush=True)
+        print(f"({max_dim}, {max_faces}): pruned {len(stream)} opetopes {note}; "
+              f"pinned digest: {'ok' if ok else 'MISMATCH'}; "
+              f"tree counts: {'ok' if trees else 'MISMATCH'}", flush=True)
     return 1 if failed else 0
 
 

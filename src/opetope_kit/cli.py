@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all checks passed, 1 an axiom or resource check failed,
-2 the input could not be parsed, 3 an internal invariant broke (a bug,
-not a user error).  Payload goes to stdout, diagnostics to stderr.
+2 the input or arguments could not be parsed, 3 an internal invariant broke
+(a bug, not a user error).  Payload goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -252,8 +252,15 @@ def cmd_morphism(args) -> int:
     return PASS if report.passed else FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as :class:`ParseError`: exit 2, one stderr line."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opetope-kit",
         description="Validate, convert, analyse and enumerate face complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -332,8 +339,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as err:
         if isinstance(err.code, int):

@@ -5,10 +5,11 @@ Classes are produced stratum by stratum over class representatives
 ``(n_0, ..., n_k)`` are the extensions of one representative per class of
 ``(n_0, ..., n_{k-1})``, kept once per canonical form.  Within the new
 stratum the faces are interchangeable, so assignments are drawn as sorted
-multisets.  An isomorphism preserves dimension and so restricts to the
-prefixes: extensions of different representatives are never isomorphic.
-Every stream is therefore exhaustive, free of isomorphic repeats, and
-emitted in a deterministic order with canonical face names.  Each stage
+multisets, by one walk for both streams (``_least_multisets``).  An
+isomorphism preserves dimension and so restricts to the prefixes:
+extensions of different representatives are never isomorphic.  Every
+stream is therefore exhaustive, free of isomorphic repeats, and emitted in
+a deterministic order with canonical face names.  Each stage
 stacks one stratum on its parent (``FaceComplex(..., extends=parent)``),
 which validates only the new stratum.  The opetope search prunes on the
 violations that the newest stratum settles, which are invariant under
@@ -39,7 +40,8 @@ and one source set, or two points) maps it to a smaller one.  A top face
 has no cofaces, so the swap is an automorphism of the parent and maps each
 extension to an isomorphic one.  The least multiset of an orbit is never
 skipped, as every swap maps it into its orbit; canonical forms deduplicate
-what is left.  This is a partial form of McKay's isomorph rejection.
+what is left.  This is a partial form of McKay's isomorph rejection.  The
+full enumeration passes the walk no swaps, so it tries every multiset.
 
 A second, deliberately naive generator walks the full labelled assignment
 space and keeps whatever survives the base validator.  It exists so that
@@ -184,10 +186,10 @@ def _twin_swaps(parent: FaceComplex, top: tuple[str, ...], options) -> list[list
 def _least_multisets(options, n: int, swaps, prefix=()) -> Iterator[list]:
     """The ``n``-multisets of ``options``, in order, that no swap lowers, as
     sorted lists of option indices compare.  A prefix that a swap lowers has
-    only such extensions, so it is cut."""
+    only such extensions, so it is cut; with no swaps every multiset comes."""
     for i in range(prefix[-1] if prefix else 0, len(options)):
         combo = [*prefix, i]
-        if any(sorted([swap[j] for j in combo]) < combo for swap in swaps):
+        if swaps and any(sorted([swap[j] for j in combo]) < combo for swap in swaps):
             continue
         if len(combo) == n:
             yield [options[j] for j in combo]
@@ -225,12 +227,9 @@ def _classes(budget: EnumerationBudget, meter: _WorkMeter,
                 continue
             options, classes = _options(names[k - 1], k), {}
             for parent in path[-1].values():
+                swaps = _twin_swaps(parent, names[k - 1], options) if opetopes_only else []
                 minus = closed_minus(parent, k - 1) if opetopes_only else None
-                combos = (_least_multisets(options, profile[k],
-                                           _twin_swaps(parent, names[k - 1], options))
-                          if opetopes_only else
-                          itertools.combinations_with_replacement(options, profile[k]))
-                for combo in combos:
+                for combo in _least_multisets(options, profile[k], swaps):
                     meter.tick()
                     if opetopes_only and next(level_violations(
                             Level(k, parent, names[k], combo, minus)), None) is not None:
@@ -243,9 +242,9 @@ def _classes(budget: EnumerationBudget, meter: _WorkMeter,
         yield path[-1]
 
 
-def _collect(stream: Iterator[dict[Certificate, FaceComplex]], keep=None) -> list[FaceComplex]:
-    certs = [cert for classes in stream for cert, stage in classes.items()
-             if keep is None or keep(stage)]
+def _collect(certs) -> list[FaceComplex]:
+    """The complexes of the canonical forms ``certs``, in stream order: by
+    face count, then dimension, then canonical form."""
     ordered = sorted(certs, key=lambda c: (sum(c[0]), len(c[0]), c))
     return [complex_from_certificate(c) for c in ordered]
 
@@ -258,7 +257,8 @@ def enumerate_pops(budget: EnumerationBudget,
     is deterministic regardless of generation details.
     """
     meter = _WorkMeter(resolve_work_limit(work_limit))
-    yield from _collect(_classes(budget, meter, opetopes_only=False))
+    yield from _collect(cert for classes in _classes(budget, meter, opetopes_only=False)
+                        for cert in classes)
 
 
 def enumerate_positive_opetopes(budget: EnumerationBudget,
@@ -274,9 +274,9 @@ def enumerate_positive_opetopes(budget: EnumerationBudget,
     filter is still the real checker.
     """
     meter = _WorkMeter(resolve_work_limit(work_limit))
-    yield from _collect(
-        _classes(budget, meter, opetopes_only=True),
-        keep=lambda c: is_positive_opetope(c).passed)
+    yield from _collect(cert for classes in _classes(budget, meter, opetopes_only=True)
+                        for cert, stage in classes.items()
+                        if is_positive_opetope(stage).passed)
 
 
 def naive_enumerate_pops(budget: EnumerationBudget,
@@ -294,25 +294,15 @@ def naive_enumerate_pops(budget: EnumerationBudget,
         meter.where = f"profile {profile}"
         meter.tick()
         names = _stratum_names(profile)
-        spaces = []
-        for k in range(1, len(profile)):
-            opts = _naive_options(names[k - 1], k)
-            spaces.append(list(itertools.product(opts, repeat=profile[k])))
+        faces = {name: k for k, stratum in enumerate(names) for name in stratum}
+        upper = [name for stratum in names[1:] for name in stratum]
+        spaces = [itertools.product(_naive_options(names[k - 1], k), repeat=profile[k])
+                  for k in range(1, len(profile))]
         for assignment in itertools.product(*spaces):
             meter.tick()
-            faces = {}
-            target = {}
-            sources = {}
-            for k, n in enumerate(profile):
-                for i in range(n):
-                    faces[names[k][i]] = k
-            for k_index, stratum_choice in enumerate(assignment):
-                k = k_index + 1
-                for i, (t, srcs) in enumerate(stratum_choice):
-                    target[names[k][i]] = t
-                    sources[names[k][i]] = srcs
-            built = build_complex(faces, target, sources)
+            choices = [choice for stratum in assignment for choice in stratum]
+            built = build_complex(faces, {x: t for x, (t, _) in zip(upper, choices)},
+                                  {x: s for x, (_, s) in zip(upper, choices)})
             if not isinstance(built, AxiomReport):
                 certs.add(canonical_form(built))
-    ordered = sorted(certs, key=lambda c: (sum(c[0]), len(c[0]), c))
-    return [complex_from_certificate(c) for c in ordered]
+    return _collect(certs)

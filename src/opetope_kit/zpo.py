@@ -92,7 +92,7 @@ def _globularity(level: Level) -> Iterator[Violation]:
 
 
 def _find_cycle(plus: ClosedRelation, start: int) -> tuple[str, ...]:
-    """A shortest one-step cycle through position ``start``, as a face sequence."""
+    """A shortest one-step cycle through position ``start``, which lies on one."""
     parent: dict[int, int] = {}
     frontier = [start]
     seen = {start}
@@ -102,7 +102,7 @@ def _find_cycle(plus: ClosedRelation, start: int) -> tuple[str, ...]:
             for v in sorted(plus.steps[u]):
                 if v == start:
                     path = [u]
-                    while path[-1] != start and path[-1] in parent:
+                    while path[-1] != start:
                         path.append(parent[path[-1]])
                     return tuple(plus.faces[p] for p in reversed(path))
                 if v not in seen:
@@ -110,7 +110,6 @@ def _find_cycle(plus: ClosedRelation, start: int) -> tuple[str, ...]:
                     parent[v] = u
                     nxt.append(v)
         frontier = nxt
-    return (plus.faces[start],)
 
 
 def _strictness(level: Level) -> Iterator[Violation]:

@@ -648,3 +648,25 @@ def test_mutated_enumerate_arguments_keep_the_exit_code_contract(monkeypatch):
         assert code in (0, 1, 2) and "Traceback" not in err, (argv, limit)
         assert len(err.splitlines()) == (code != 0), (argv, limit, err)
     assert codes == {0: 14, 1: 41, 2: 95}
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--max-dim", "x", "--max-faces", "3"],
+    ["enumerate", "--max-dim", "2"],
+    [],
+    ["validate", "f.dsl", "--mode", "nope"],
+    ["nope"],
+], ids=["non-integer-max-dim", "missing-max-faces", "no-arguments",
+        "unknown-mode", "unknown-command"])
+def test_usage_errors_exit_2_with_one_line(argv):
+    """An argument the parser rejects returns 2 from ``main``, raising
+    nothing, with one stderr line that names the command and no usage
+    block."""
+    code, out, err = _run_in_process(argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("opetope-kit"), err
+
+
+def test_help_exits_0():
+    code, out, err = _run_in_process(["--help"])
+    assert code == 0 and out.startswith("usage: opetope-kit") and err == ""

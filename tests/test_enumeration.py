@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter, defaultdict
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -22,7 +23,7 @@ from opetope_kit import (
     two_cell,
 )
 from opetope_kit import enumeration
-from opetope_kit.enumeration import _profiles
+from opetope_kit.enumeration import _least_multisets, _options, _profiles
 from opetope_kit.zpo import settled_violations
 
 from helpers import OPETOPES_4_9, single_edit_mutations, tree_opetope_count
@@ -46,6 +47,16 @@ def test_profiles_respect_budget():
     assert profiles == sorted(profiles) and len(profiles) == 14
     with pytest.raises(BudgetTooLarge, match="work limit"):
         next(_profiles(budget, 13))
+
+
+@pytest.mark.parametrize("options", [[], ["a"], ["a", "b", "c"], _options(("x0", "x1", "x2"), 2)],
+                         ids=["none", "one", "three", "dimension-2"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_multiset_walk_without_swaps_is_every_multiset(options, n):
+    """With no twin swaps, the one multiset walk of both streams yields every
+    ``n``-multiset of the options, in lexicographic order."""
+    assert list(_least_multisets(options, n, [])) == \
+        [list(combo) for combo in combinations_with_replacement(options, n)]
 
 
 def test_dim0_enumeration():
