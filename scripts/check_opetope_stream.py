@@ -5,19 +5,24 @@ against the naive recount.
 For each budget, ``enumerate_positive_opetopes`` (which skips profiles
 and prunes partial stages) must stream the same canonical forms, in the
 same order, as ``enumerate_pops`` filtered by ``is_positive_opetope``.
-Both share the prefix deduplication, so ``enumerate_pops`` must also
-stream the same canonical forms, in the same order, as
-``naive_enumerate_pops`` at (3, 7).  At (3, 11) and (4, 11) the pruned
-search's stream must have its pinned SHA-256 (one canonical-form repr per
-line, the format of ``tests/test_enumeration.py``), and its count of
-opetopes at each dimension <= 3 and face count must equal the tree-count
-oracle of ``tests/helpers.py``, which builds no complex.  Each run prints
-its time, the number of stages it built (dimension-0 bases included; none
-for the naive recount), counted by a subclass of the enumerator's
-``FaceComplex``, and its work-meter ticks: the profiles visited and
-assignments tried that the work limit counts (labelled assignments for
-the naive recount).  Exits 1 on any mismatch.  Takes under a minute on
-one core:
+One census at the largest budget serves every budget: the stream is
+ordered by face count, then dimension, so a smaller budget's census is
+the part of it within that budget, in the same order.  Both share the
+prefix deduplication, so ``enumerate_pops`` must also stream the same
+canonical forms, in the same order, as ``naive_enumerate_pops`` at
+(3, 7).  At (3, 11) and (4, 11) the pruned search's stream must have its
+pinned SHA-256 (one canonical-form repr per line, the format of
+``tests/test_enumeration.py``), and its count of opetopes at each
+dimension <= 3 and face count must equal the tree-count oracle of
+``tests/helpers.py``, which builds no complex.  Each run prints its time,
+the certificates it computed (one per candidate stratum that passes the
+pruning, dimension-0 bases included; none for the naive recount, which
+calls ``canonical_form``), the stages it built (one per class: a
+candidate is built only when its certificate is new), counted by a
+subclass of the enumerator's ``FaceComplex``, and its work-meter ticks:
+the profiles visited and assignments tried that the work limit counts
+(labelled assignments for the naive recount).  Exits 1 on any mismatch.
+Takes under a minute on one core:
 
     python3 scripts/check_opetope_stream.py
 """
@@ -53,7 +58,7 @@ PINNED = {
     (4, 11): ("a6c31a0bbf3b68b010c438ee0aaf3c5b5db36e62bac42ad658c9ce80b3c3dbdb", 18),
 }
 
-built = ticks = 0
+built = ticks = certificates = 0
 
 
 class _Counting(FaceComplex):
@@ -68,7 +73,7 @@ class _Counting(FaceComplex):
         super().__init__(*args, **kwargs)
 
 
-_tick = enumeration._WorkMeter.tick
+_tick, _least = enumeration._WorkMeter.tick, enumeration._least
 
 
 def _counting_tick(meter) -> None:
@@ -77,27 +82,38 @@ def _counting_tick(meter) -> None:
     _tick(meter)
 
 
+def _counting_least(index):
+    global certificates
+    certificates += 1
+    return _least(index)
+
+
 def _run(search, budget):
     """The complexes ``search(budget)`` yields, and a note of the seconds,
-    stages built and work-meter ticks it took."""
-    start, stages, work = time.perf_counter(), built, ticks
+    certificates computed, stages built and work-meter ticks it took."""
+    start, certs, stages, work = time.perf_counter(), certificates, built, ticks
     result = list(search(EnumerationBudget(*budget)))
-    return result, (f"in {time.perf_counter() - start:.1f} s from {built - stages} "
-                    f"stages, {ticks - work} ticks")
+    return result, (f"in {time.perf_counter() - start:.1f} s from {certificates - certs} "
+                    f"certificates, {built - stages} stages, {ticks - work} ticks")
 
 
 def main() -> int:
     enumeration.FaceComplex = _Counting
     enumeration._WorkMeter.tick = _counting_tick
+    enumeration._least = _counting_least
     failed = False
-    for budget in BUDGETS:
-        pruned, pruned_note = _run(enumerate_positive_opetopes, budget)
-        classes, classes_note = _run(enumerate_pops, budget)
+    census = tuple(map(max, zip(*BUDGETS)))
+    classes, classes_note = _run(enumerate_pops, census)
+    print(f"{census}: census of {len(classes)} classes {classes_note}", flush=True)
+    opetopes = [c for c in classes if is_positive_opetope(c).passed]
+    for max_dim, max_faces in BUDGETS:
+        pruned, pruned_note = _run(enumerate_positive_opetopes, (max_dim, max_faces))
         pruned = [canonical_form(c) for c in pruned]
-        filtered = [canonical_form(c) for c in classes if is_positive_opetope(c).passed]
+        filtered = [canonical_form(c) for c in opetopes
+                    if c.dimension <= max_dim and len(c) <= max_faces]
         failed |= pruned != filtered
-        print(f"{budget}: pruned {len(pruned)} opetopes {pruned_note}; filtered "
-              f"{len(filtered)} of {len(classes)} classes {classes_note}: "
+        print(f"{(max_dim, max_faces)}: pruned {len(pruned)} opetopes {pruned_note}; "
+              f"census filtered {len(filtered)}: "
               f"{'ok' if pruned == filtered else 'MISMATCH'}", flush=True)
     clever, clever_note = _run(enumerate_pops, NAIVE_BUDGET)
     naive, naive_note = _run(naive_enumerate_pops, NAIVE_BUDGET)

@@ -9,16 +9,20 @@ multisets, by one walk for both streams (``_least_multisets``).  An
 isomorphism preserves dimension and so restricts to the prefixes:
 extensions of different representatives are never isomorphic.  Every
 stream is therefore exhaustive, free of isomorphic repeats, and emitted in
-a deterministic order with canonical face names.  Each stage
-stacks one stratum on its parent (``FaceComplex(..., extends=parent)``),
-which validates only the new stratum.  The opetope search prunes on the
-violations that the newest stratum settles, which are invariant under
-isomorphism.  Every one of them reads only the parent and the new
-stratum's targets and source sets, so the search decides them all on the
-assignment, with the checker's own axioms on a :class:`zpo.Level` built
-from the parent and the assignment, and builds only the candidates that
-pass.  The minus order one stratum down reads the parent alone and is
-closed once for all of its extensions.
+a deterministic order with canonical face names.  A candidate's canonical
+form is read from the parent's face index, numbered once per parent, with
+the assignment stacked on it as a new stratum (``iso._Index.extend``), so
+no complex is built for it.  Only a candidate whose canonical form is new
+is built, as a stage that stacks one stratum on its parent
+(``FaceComplex(..., extends=parent)``) and validates only that stratum.
+The opetope search prunes on the violations that the newest stratum
+settles, which are invariant under isomorphism.  Every one of them reads
+only the parent and the new stratum's targets and source sets, so the
+search decides them all on the assignment, with the checker's own axioms
+on a :class:`zpo.Level` built from the parent and the assignment, and
+canonicalises only the candidates that pass; it numbers a parent only
+once one of its candidates passes.  The minus order one stratum down
+reads the parent alone and is closed once for all of its extensions.
 
 The opetope search also skips every stratum-size profile ``(n_0, ..., n_d)``
 unless ``n_d == 1`` and the Euler characteristic ``n_0 - n_1 + n_2 - ...``
@@ -58,7 +62,8 @@ from typing import Iterator, Optional
 
 from .core import AxiomReport, FaceComplex, build_complex
 from .errors import BudgetTooLarge
-from .iso import Certificate, canonical_face_name, canonical_form, complex_from_certificate
+from .iso import (Certificate, _Index, _least, canonical_face_name, canonical_form,
+                  complex_from_certificate)
 from .relations import closed_minus
 from .zpo import Level, is_positive_opetope, level_violations
 
@@ -108,9 +113,9 @@ class _WorkMeter:
         if self.used > self.limit:
             raise BudgetTooLarge(
                 f"enumeration exceeded the work limit of {self.limit} at {self.where} "
-                f"(profiles visited and assignments tried: stages built, and "
-                f"candidate strata the opetope search rejects before building "
-                f"one; labelled assignments in the naive recount); "
+                f"(profiles visited and assignments tried: candidate strata "
+                f"canonicalised, and those the opetope search rejects before "
+                f"canonicalising; labelled assignments in the naive recount); "
                 f"raise {WORK_LIMIT_ENV} to allow more")
 
 
@@ -223,21 +228,25 @@ def _classes(budget: EnumerationBudget, meter: _WorkMeter,
             if k == 0:
                 meter.tick()
                 base = FaceComplex(layer, {}, {})
-                path.append({canonical_form(base): base})
+                path.append({_least(_Index(base))[0]: base})
                 continue
             options, classes = _options(names[k - 1], k), {}
             for parent in path[-1].values():
                 swaps = _twin_swaps(parent, names[k - 1], options) if opetopes_only else []
                 minus = closed_minus(parent, k - 1) if opetopes_only else None
+                index = None
                 for combo in _least_multisets(options, profile[k], swaps):
                     meter.tick()
                     if opetopes_only and next(level_violations(
                             Level(k, parent, names[k], combo, minus)), None) is not None:
                         continue
-                    targets, sources = zip(*combo)
-                    stage = FaceComplex(layer, dict(zip(names[k], targets)),
-                                        dict(zip(names[k], sources)), extends=parent)
-                    classes.setdefault(canonical_form(stage), stage)
+                    if index is None:
+                        index = _Index(parent)
+                    cert = _least(index.extend(names[k], combo))[0]
+                    if cert not in classes:
+                        targets, sources = zip(*combo)
+                        classes[cert] = FaceComplex(layer, dict(zip(names[k], targets)),
+                                                    dict(zip(names[k], sources)), extends=parent)
             path.append(classes)
         yield path[-1]
 
@@ -270,8 +279,8 @@ def enumerate_positive_opetopes(budget: EnumerationBudget,
     whose Euler characteristic is not 1 (see the module docstring),
     extends one representative per class of each prefix, and decides the
     violations a candidate stratum settles from the parent and the
-    assignment, building the stage only when there are none; the final
-    filter is still the real checker.
+    assignment, canonicalising the candidate only when there are none; the
+    final filter is still the real checker.
     """
     meter = _WorkMeter(resolve_work_limit(work_limit))
     yield from _collect(cert for classes in _classes(budget, meter, opetopes_only=True)

@@ -4,11 +4,14 @@ The canonical form of a complex is the least encoding of its strata and
 covering data among the labellings that colour refinement reaches, with
 branching over the members of the first unresolved colour class.
 
-Each call numbers the faces once, in ``faces()`` order, and every step
-reads only that integer index: per face the target position, the sorted
-source positions and the plus and minus coface positions.  A colour is the
-first position of its class in the colour order, so a discrete colouring
-is the labelling itself.
+Each call numbers the faces in ``faces()`` order, one stratum at a time,
+and every step reads only that integer index: per face the target
+position, the sorted source positions and the plus and minus coface
+positions.  Stacking a stratum appends its faces and gives the old top
+faces their cofaces, so the enumerator numbers each parent once and
+stacks every candidate stratum on a copy, with no complex built for it.
+A colour is the first position of its class in the colour order, so a
+discrete colouring is the labelling itself.
 
 The refinement keeps the synchronous round rule: a face's new colour ranks
 (old colour, target colour, sorted source colours, sorted plus- and
@@ -43,6 +46,7 @@ one, so the kept leaf is the one a full search would keep.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from .core import FaceComplex
@@ -53,32 +57,66 @@ Certificate = tuple
 class _Index:
     """The complex with its faces numbered in ``faces()`` order.
 
-    A point's target is the extra position ``len(faces)``, whose colour is
-    always -1, so every face has the same key shape.
+    A point's target is the position -1, the extra colour slot after the
+    last face, whose colour is always -1, so every face has the same key
+    shape and a stratum stacked on top never renumbers it.
     """
 
     __slots__ = ("names", "offsets", "target", "sources", "plus", "minus", "around")
 
-    def __init__(self, complex_: FaceComplex):
-        self.names = names = complex_.faces()
-        n = len(names)
-        position = {x: i for i, x in enumerate(names)}
-        self.offsets = offsets = [0]
-        for k in range(complex_.dimension + 1):
-            offsets.append(offsets[-1] + len(complex_.stratum(k)))
-        points = offsets[1]
-        self.target = [n] * points
-        self.sources = [()] * points
-        for x in names[points:]:
-            self.target.append(position[complex_.gamma(x)])
-            self.sources.append(tuple(sorted([position[y] for y in complex_.delta(x)])))
-        pencils = [complex_.pencils(x) for x in names]
-        self.plus = [tuple([position[w] for w in targets]) for targets, _ in pencils]
-        self.minus = [tuple([position[w] for w in sources]) for _, sources in pencils]
-        # Every face adjacent to each face; a point's stand-in target is not.
-        self.around = [self.sources[x] + self.plus[x] + self.minus[x] for x in range(n)]
-        for x in range(points, n):
-            self.around[x] += (self.target[x],)
+    def __init__(self, complex_: Optional[FaceComplex] = None):
+        """The index of ``complex_``, stacked one stratum at a time; with no
+        complex, the empty index that :meth:`extend` starts from."""
+        self.names: tuple[str, ...] = ()
+        self.offsets = [0]
+        self.target, self.sources, self.plus, self.minus, self.around = [], [], [], [], []
+        if complex_ is not None:
+            for k in range(complex_.dimension + 1):
+                stratum = complex_.stratum(k)
+                self._stack(stratum, [(complex_.gamma(x), complex_.delta(x))
+                                      for x in stratum] if k else ())
+
+    def extend(self, names, covers) -> "_Index":
+        """A new index with ``names`` stacked on top, each face with its
+        ``(target, sources)`` pair of ``covers`` read in the old top stratum
+        (points take no covers)."""
+        index = _Index()
+        index.names, index.offsets = self.names, self.offsets[:]
+        index.target, index.sources = self.target[:], self.sources[:]
+        index.plus, index.minus, index.around = self.plus[:], self.minus[:], self.around[:]
+        index._stack(names, covers)
+        return index
+
+    def _stack(self, names, covers) -> None:
+        """Append a top stratum in place, giving the old top faces their
+        cofaces."""
+        start = len(self.names)
+        self.names += tuple(names)
+        self.offsets.append(len(self.names))
+        blank = [()] * len(names)
+        self.plus += blank
+        self.minus += blank
+        if not start:
+            self.target += [-1] * len(names)
+            self.sources += blank
+            self.around += blank
+            return
+        low = self.offsets[-3]
+        top = range(low, start)
+        position = dict(zip(self.names[low:start], top))
+        plus, minus = {x: [] for x in top}, {x: [] for x in top}
+        for x, (t, s) in enumerate(covers, start):
+            t, s = position[t], tuple(sorted([position[y] for y in s]))
+            self.target.append(t)
+            self.sources.append(s)
+            self.around.append(s + (t,))
+            plus[t].append(x)
+            for y in s:
+                minus[y].append(x)
+        for x in top:
+            self.plus[x], self.minus[x] = up, down = tuple(plus[x]), tuple(minus[x])
+            # Every face adjacent to each face; a point's stand-in target is not.
+            self.around[x] = self.sources[x] + up + down + ((self.target[x],) if low else ())
 
     def initial(self) -> tuple[list[int], dict[int, list[int]]]:
         """Faces coloured by dimension, and the classes by first position."""
@@ -249,14 +287,19 @@ class _Search:
                 self.path.pop()
 
 
-def canonical_labeling(complex_: FaceComplex) -> tuple[Certificate, dict[str, int]]:
-    """The least certificate together with one labelling realizing it."""
-    index = _Index(complex_)
+def _least(index: _Index) -> tuple[Certificate, list[int]]:
+    """The least certificate of ``index`` and the labelling that gives it."""
     colours, classes = index.initial()
     _refine(index, colours, classes, range(len(index.names)))
     search = _Search(index)
     search.run(colours, classes)
-    cert, labels = search.best
+    return search.best
+
+
+def canonical_labeling(complex_: FaceComplex) -> tuple[Certificate, dict[str, int]]:
+    """The least certificate together with one labelling realizing it."""
+    index = _Index(complex_)
+    cert, labels = _least(index)
     return cert, dict(zip(index.names, labels))
 
 
@@ -265,8 +308,12 @@ def canonical_form(complex_: FaceComplex) -> Certificate:
     return canonical_labeling(complex_)[0]
 
 
+@functools.lru_cache(maxsize=1024)
 def canonical_face_name(k: int, i: int) -> str:
-    """The name given to face ``i`` of dimension ``k`` in rebuilt complexes."""
+    """The name given to face ``i`` of dimension ``k`` in rebuilt complexes.
+
+    Cached, so that the many complexes an enumeration rebuilds share one
+    string per name."""
     return f"x{k}_{i:02d}"
 
 

@@ -13,8 +13,8 @@ targets and source sets, and the complex below them.  The whole-complex
 checks build each record from the complex (:func:`settled_violations`).
 The opetope search builds it from a parent stage and a candidate
 assignment of the stratum above, so every axiom that the new stratum
-settles is decided before the stage is built, and only the candidates
-that pass are built.
+settles is decided before the candidate is canonicalised or built, and
+only the candidates that pass are canonicalised.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def settled_violations(complex_: FaceComplex, k: int) -> Iterator[Violation]:
     at level ``k - 1`` and globularity of the ``k``-faces.  None of them
     reads a stratum above ``k``, so they are the same on the truncation to
     strata ``0..k`` as on any complex stacked on it, and the enumerator
-    prunes on them, on a :class:`Level` built before the stage is.
+    prunes on them, on a :class:`Level` built before any stage is.
     """
     return level_violations(Level.of(complex_, k))
 

@@ -9,6 +9,7 @@ from opetope_kit import (
     canonical_complex,
     canonical_form,
     enumerate_pops,
+    enumerate_positive_opetopes,
     enumeration,
     iso,
     three_cell_from_tree,
@@ -102,15 +103,26 @@ def test_interchangeable_faces_fast_path():
     assert canonical_form(renamed) == cert
 
 
+def _complex_of(index):
+    """The complex whose faces ``index`` numbers."""
+    names, offsets = index.names, index.offsets
+    faces = {x: k for k in range(len(offsets) - 1) for x in names[offsets[k]:offsets[k + 1]]}
+    upper = range(offsets[1], len(names))
+    return FaceComplex(faces, {names[x]: names[index.target[x]] for x in upper},
+                       {names[x]: {names[y] for y in index.sources[x]} for x in upper})
+
+
 def _canonicalised_stages(monkeypatch, budget):
-    """Every stage the enumerator canonicalises, in call order."""
+    """Every stage the enumerator canonicalises, in call order, rebuilt from
+    the index it takes the certificate of."""
     stages = []
+    real = enumeration._least
 
-    def recording(complex_):
-        stages.append(complex_)
-        return canonical_form(complex_)
+    def recording(index):
+        stages.append(_complex_of(index))
+        return real(index)
 
-    monkeypatch.setattr(enumeration, "canonical_form", recording)
+    monkeypatch.setattr(enumeration, "_least", recording)
     list(enumerate_pops(budget))
     monkeypatch.undo()
     return stages
@@ -137,6 +149,81 @@ def test_canonical_labellings_are_pinned(monkeypatch):
         cert, labels = canonical_labeling(complex_)
         digest.update(repr((cert, sorted(labels.items()))).encode() + b"\n")
     assert digest.hexdigest() == LABELLING_SHA256
+
+
+def _whole_index_fields(complex_):
+    """The fields of ``iso._Index``, numbered from the whole complex at once."""
+    names = complex_.faces()
+    position = {x: i for i, x in enumerate(names)}
+    offsets = [0]
+    for k in range(complex_.dimension + 1):
+        offsets.append(offsets[-1] + len(complex_.stratum(k)))
+    points = offsets[1]
+    target = [-1] * points + [position[complex_.gamma(x)] for x in names[points:]]
+    sources = [()] * points + [tuple(sorted(position[y] for y in complex_.delta(x)))
+                               for x in names[points:]]
+    plus = [tuple(position[w] for w in complex_.pencils(x)[0]) for x in names]
+    minus = [tuple(position[w] for w in complex_.pencils(x)[1]) for x in names]
+    around = [sources[x] + plus[x] + minus[x] + ((target[x],) if x >= points else ())
+              for x in range(len(names))]
+    return names, offsets, target, sources, plus, minus, around
+
+
+def _fields(index):
+    return tuple(getattr(index, field) for field in iso._Index.__slots__)
+
+
+def test_stratum_folded_index_equals_the_whole_complex_numbering():
+    for complex_ in (two_cell(60), three_cell_from_tree(random_tree(7))):
+        expected = _whole_index_fields(complex_)
+        assert _fields(iso._Index(complex_)) == expected
+        folded = iso._Index()
+        for k in range(complex_.dimension + 1):
+            stratum = complex_.stratum(k)
+            folded = folded.extend(stratum, [(complex_.gamma(x), complex_.delta(x))
+                                             for x in stratum] if k else ())
+        assert _fields(folded) == expected
+
+
+def _stages_beside_their_index(monkeypatch, run):
+    """For each candidate the enumerator takes a certificate of, the stage
+    that stacks its assignment on the parent, and the extended index."""
+    pairs = []
+
+    class Recording(iso._Index):
+        __slots__ = ("parent",)
+
+        def __init__(self, complex_=None):
+            super().__init__(complex_)
+            self.parent = complex_
+
+        def extend(self, names, covers):
+            k = len(self.offsets) - 1
+            targets, sources = zip(*covers)
+            pairs.append((FaceComplex(dict.fromkeys(names, k), dict(zip(names, targets)),
+                                      dict(zip(names, sources)), extends=self.parent),
+                          super().extend(names, covers)))
+            return pairs[-1][1]
+
+    monkeypatch.setattr(enumeration, "_Index", Recording)
+    run()
+    monkeypatch.undo()
+    return pairs
+
+
+def test_certificate_from_the_parent_index_is_the_canonical_form_of_the_stage(monkeypatch):
+    """Every candidate of the census at (3, 7) and of the opetope search at
+    (4, 9) gets, from its parent's index plus the assignment, the numbering
+    and the canonical form of the stage that the assignment stacks on the
+    parent."""
+    for run, candidates in (
+            (lambda: list(enumerate_pops(EnumerationBudget(3, 7))), 1288),
+            (lambda: list(enumerate_positive_opetopes(EnumerationBudget(4, 9))), 54)):
+        pairs = _stages_beside_their_index(monkeypatch, run)
+        assert len(pairs) == candidates
+        for stage, index in pairs:
+            assert _fields(index) == _whole_index_fields(stage)
+            assert iso._least(index)[0] == canonical_form(stage)
 
 
 # The same digest over unions of directed arrow cycles, which colour
