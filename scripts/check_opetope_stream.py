@@ -17,10 +17,11 @@ dimension <= 3 and face count must equal the tree-count oracle of
 ``tests/helpers.py``, which builds no complex.  Each run prints its time,
 the certificates it computed (one per candidate stratum that passes the
 pruning, dimension-0 bases included; none for the naive recount, which
-calls ``canonical_form``), the stages it built (one per class: a
-candidate is built only when its certificate is new), counted by a
-subclass of the enumerator's ``FaceComplex``, and its work-meter ticks:
-the profiles visited and assignments tried that the work limit counts
+calls ``canonical_form``), the stages it built, counted at the
+enumerator's ``complex_from_certificate`` calls (one per class, when its
+certificate is first met; the builds that validate the naive recount's
+labelled assignments are not counted), and its work-meter ticks: the
+profiles visited and assignments tried that the work limit counts
 (labelled assignments for the naive recount).  Exits 1 on any mismatch.
 Takes under a minute on one core:
 
@@ -39,7 +40,6 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from opetope_kit import (  # noqa: E402
     EnumerationBudget,
-    FaceComplex,
     canonical_form,
     enumerate_pops,
     enumerate_positive_opetopes,
@@ -59,21 +59,8 @@ PINNED = {
 }
 
 built = ticks = certificates = 0
-
-
-class _Counting(FaceComplex):
-    """The enumerator's class, counting each stage it builds; a subclass,
-    so that isinstance checks and class attributes work as before."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs):
-        global built
-        built += 1
-        super().__init__(*args, **kwargs)
-
-
-_tick, _least = enumeration._WorkMeter.tick, enumeration._least
+_tick, _least, _build = (enumeration._WorkMeter.tick, enumeration._least,
+                         enumeration.complex_from_certificate)
 
 
 def _counting_tick(meter) -> None:
@@ -88,6 +75,12 @@ def _counting_least(index):
     return _least(index)
 
 
+def _counting_build(cert):
+    global built
+    built += 1
+    return _build(cert)
+
+
 def _run(search, budget):
     """The complexes ``search(budget)`` yields, and a note of the seconds,
     certificates computed, stages built and work-meter ticks it took."""
@@ -98,7 +91,7 @@ def _run(search, budget):
 
 
 def main() -> int:
-    enumeration.FaceComplex = _Counting
+    enumeration.complex_from_certificate = _counting_build
     enumeration._WorkMeter.tick = _counting_tick
     enumeration._least = _counting_least
     failed = False

@@ -114,25 +114,17 @@ class _Faces(dict):
         raise UnknownFaceReference(f"unknown face {name!r}")
 
 
-def _validate(faces, target, sources, below=None):
-    """Check the base axioms; return (report, dims, target, sources, new).
+def _validate(faces, target, sources):
+    """Check the base axioms; return (report, dims, target, sources).
 
     Inputs are read in the order given: the report is sorted at the end.
-    ``below``, when given, is a built complex that the faces are added to:
-    the returned maps cover both, and only the ``new`` faces are checked.
-    That suffices, since each axiom on a face reads only the dimensions of
-    the face and of the faces it cites, and ``below``'s faces pass already.
     """
     bad: list[Violation] = []
     items = list(faces.items()) if isinstance(faces, Mapping) else [tuple(i) for i in faces]
 
-    if below is None:
-        dims: _Faces = _Faces()
-        tgt: dict[str, str] = {}
-        src: dict[str, frozenset[str]] = {}
-    else:
-        dims, tgt, src = _Faces(below._dims), dict(below._target), dict(below._sources)
-    new: list[str] = []
+    dims: _Faces = _Faces()
+    tgt: dict[str, str] = {}
+    src: dict[str, frozenset[str]] = {}
     for entry in items:
         if len(entry) != 2:
             bad.append(Violation("InvalidFaceName", (), f"malformed face entry {entry!r}"))
@@ -148,9 +140,8 @@ def _validate(faces, target, sources, below=None):
             bad.append(Violation("InvalidDimension", (name,), f"face {name} has dimension {dim!r}"))
             continue
         dims[name] = dim
-        new.append(name)
 
-    if not items and below is None:
+    if not items:
         bad.append(Violation("EmptyComplex", (), "a complex must contain at least one face"))
 
     for x in target:
@@ -198,8 +189,7 @@ def _validate(faces, target, sources, below=None):
         if ok:
             src[x] = frozenset(seen)
 
-    for x in new:
-        d = dims[x]
+    for x, d in dims.items():
         if d == 0:
             continue
         has_t = x in tgt
@@ -217,7 +207,7 @@ def _validate(faces, target, sources, below=None):
                 "Delta0NotFunctional", (x,),
                 f"dimension-1 face {x} has {len(src[x])} sources"))
 
-    return AxiomReport.of(bad), dims, tgt, src, new
+    return AxiomReport.of(bad), dims, tgt, src
 
 
 def validate_complex_data(faces, target, sources) -> AxiomReport:
@@ -232,52 +222,29 @@ class FaceComplex:
     ``target`` maps each dim >= 1 face to its target and ``sources`` to its
     nonempty source set.  Raises :class:`InvalidComplex` when any base
     axiom fails; the exception carries the full report.
-
-    With ``extends``, the arguments describe one new top stratum to stack
-    on that complex: its faces all have dimension ``extends.dimension + 1``
-    and the maps have entries for them only.  The result, and the report
-    when it fails, equal those of the full constructor on the combined
-    data, but only the new faces are validated.
     """
 
     __slots__ = ("_dims", "_strata", "_target", "_sources", "_pencils")
 
-    def __init__(self, faces, target, sources, *, extends: "FaceComplex | None" = None):
-        if extends is not None and not extends._dims.keys().isdisjoint(chain(target, sources)):
-            raise PreconditionViolation("an extension cannot redeclare a face it extends")
-        report, dims, tgt, src, new = _validate(faces, target, sources, extends)
+    def __init__(self, faces, target, sources):
+        report, dims, tgt, src = _validate(faces, target, sources)
         if not report.passed:
             raise InvalidComplex(report)
-        if extends is None:
-            strata: dict[int, tuple[str, ...]] = {}
-            pencils: _Faces = _Faces()
-            cited: tuple[str, ...] = ()
-        else:
-            top = extends.dimension
-            if not {top + 1}.issuperset(map(dims.__getitem__, new)):
-                raise PreconditionViolation(f"an extension adds faces of dimension {top + 1} only")
-            strata, pencils = dict(extends._strata), _Faces(extends._pencils)
-            cited = extends._strata[top]
         # One pass in name order: each stratum comes out sorted, and so do
-        # the two pencils of each face.  An extension only gives pencils to
-        # its old top faces, which had empty ones.
-        layers: dict[int, list[str]] = {}
-        above: dict[str, tuple[list[str], list[str]]] = {x: ([], []) for x in chain(cited, new)}
-        for x in sorted(new):
-            layers.setdefault(dims[x], []).append(x)
+        # the two pencils of each face.
+        strata: list[list[str]] = [[] for _ in range(max(dims.values()) + 1)]
+        above: dict[str, tuple[list[str], list[str]]] = {x: ([], []) for x in dims}
+        for x in sorted(dims):
+            strata[dims[x]].append(x)
             if x in tgt:
                 above[tgt[x]][0].append(x)
                 for y in src[x]:
                     above[y][1].append(x)
-        for k in sorted(layers):
-            strata[k] = tuple(layers[k])
-        for y, (t, s) in above.items():
-            pencils[y] = (tuple(t), tuple(s))
         self._dims = dims
         self._target = tgt
         self._sources = src
-        self._strata = strata
-        self._pencils = pencils
+        self._strata = {k: tuple(names) for k, names in enumerate(strata)}
+        self._pencils = _Faces((y, (tuple(t), tuple(s))) for y, (t, s) in above.items())
 
     # -- basic queries -------------------------------------------------
 

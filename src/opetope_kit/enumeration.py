@@ -12,9 +12,10 @@ stream is therefore exhaustive, free of isomorphic repeats, and emitted in
 a deterministic order with canonical face names.  A candidate's canonical
 form is read from the parent's face index, numbered once per parent, with
 the assignment stacked on it as a new stratum (``iso._Index.extend``), so
-no complex is built for it.  Only a candidate whose canonical form is new
-is built, as a stage that stacks one stratum on its parent
-(``FaceComplex(..., extends=parent)``) and validates only that stratum.
+no complex is built for it.  A canonical form met for the first time is
+built once, by ``complex_from_certificate``: that canonical representative
+is the one the walk extends and the stream yields, so each class is built
+exactly once, dimension-0 bases included.
 The opetope search prunes on the violations that the newest stratum
 settles, which are invariant under isomorphism.  Every one of them reads
 only the parent and the new stratum's targets and source sets, so the
@@ -204,7 +205,8 @@ def _least_multisets(options, n: int, swaps, prefix=()) -> Iterator[list]:
 
 def _classes(budget: EnumerationBudget, meter: _WorkMeter,
              opetopes_only: bool) -> Iterator[dict[Certificate, FaceComplex]]:
-    """Each profile's classes, as a map from canonical form to representative.
+    """Each profile's classes, as a map from canonical form to canonical
+    representative.
 
     ``path[k]`` holds them for the current profile's first ``k + 1`` strata
     and is dropped once the walk leaves that prefix.  Only extensions of one
@@ -224,11 +226,10 @@ def _classes(budget: EnumerationBudget, meter: _WorkMeter,
         last, names = profile, _stratum_names(profile)
         for k in range(len(path), len(profile)):
             meter.where = f"profile {profile}, stratum {k}"
-            layer = dict.fromkeys(names[k], k)
             if k == 0:
                 meter.tick()
-                base = FaceComplex(layer, {}, {})
-                path.append({_least(_Index(base))[0]: base})
+                cert = _least(_Index().extend(names[0], ()))[0]
+                path.append({cert: complex_from_certificate(cert)})
                 continue
             options, classes = _options(names[k - 1], k), {}
             for parent in path[-1].values():
@@ -244,18 +245,15 @@ def _classes(budget: EnumerationBudget, meter: _WorkMeter,
                         index = _Index(parent)
                     cert = _least(index.extend(names[k], combo))[0]
                     if cert not in classes:
-                        targets, sources = zip(*combo)
-                        classes[cert] = FaceComplex(layer, dict(zip(names[k], targets)),
-                                                    dict(zip(names[k], sources)), extends=parent)
+                        classes[cert] = complex_from_certificate(cert)
             path.append(classes)
         yield path[-1]
 
 
-def _collect(certs) -> list[FaceComplex]:
-    """The complexes of the canonical forms ``certs``, in stream order: by
-    face count, then dimension, then canonical form."""
-    ordered = sorted(certs, key=lambda c: (sum(c[0]), len(c[0]), c))
-    return [complex_from_certificate(c) for c in ordered]
+def _collect(classes: dict[Certificate, FaceComplex]) -> list[FaceComplex]:
+    """The representatives in ``classes``, in stream order: by face count,
+    then dimension, then canonical form."""
+    return [classes[c] for c in sorted(classes, key=lambda c: (sum(c[0]), len(c[0]), c))]
 
 
 def enumerate_pops(budget: EnumerationBudget,
@@ -266,8 +264,9 @@ def enumerate_pops(budget: EnumerationBudget,
     is deterministic regardless of generation details.
     """
     meter = _WorkMeter(resolve_work_limit(work_limit))
-    yield from _collect(cert for classes in _classes(budget, meter, opetopes_only=False)
-                        for cert in classes)
+    yield from _collect({cert: complex_
+                         for classes in _classes(budget, meter, opetopes_only=False)
+                         for cert, complex_ in classes.items()})
 
 
 def enumerate_positive_opetopes(budget: EnumerationBudget,
@@ -283,9 +282,10 @@ def enumerate_positive_opetopes(budget: EnumerationBudget,
     final filter is still the real checker.
     """
     meter = _WorkMeter(resolve_work_limit(work_limit))
-    yield from _collect(cert for classes in _classes(budget, meter, opetopes_only=True)
-                        for cert, stage in classes.items()
-                        if is_positive_opetope(stage).passed)
+    yield from _collect({cert: complex_
+                         for classes in _classes(budget, meter, opetopes_only=True)
+                         for cert, complex_ in classes.items()
+                         if is_positive_opetope(complex_).passed})
 
 
 def naive_enumerate_pops(budget: EnumerationBudget,
@@ -314,4 +314,4 @@ def naive_enumerate_pops(budget: EnumerationBudget,
                                   {x: s for x, (_, s) in zip(upper, choices)})
             if not isinstance(built, AxiomReport):
                 certs.add(canonical_form(built))
-    return _collect(certs)
+    return _collect({cert: complex_from_certificate(cert) for cert in certs})

@@ -310,9 +310,10 @@ def canonical_form(complex_: FaceComplex) -> Certificate:
 
 @functools.lru_cache(maxsize=1024)
 def canonical_face_name(k: int, i: int) -> str:
-    """The name given to face ``i`` of dimension ``k`` in rebuilt complexes.
+    """The name given to face ``i`` of dimension ``k`` in complexes built from
+    certificates.
 
-    Cached, so that the many complexes an enumeration rebuilds share one
+    Cached, so that the many complexes an enumeration builds share one
     string per name."""
     return f"x{k}_{i:02d}"
 

@@ -243,6 +243,17 @@ def two_sided_tree_cell(n: int) -> FaceComplex:
     return three_cell_from_tree(RootedTree(frozenset(arity), arity, frozenset(triplets), "r"))
 
 
+def stacked(parent, names, covers) -> FaceComplex:
+    """``parent`` with ``names`` stacked on it as a new top stratum, each
+    face with its ``(target, sources)`` pair of ``covers`` (with no parent,
+    ``names`` are points and take no covers), built by the full constructor."""
+    dims, target, sources = parent.to_data() if parent is not None else ({}, {}, {})
+    dims.update(dict.fromkeys(names, parent.dimension + 1 if parent is not None else 0))
+    for x, (t, s) in zip(names, covers):
+        target[x], sources[x] = t, s
+    return FaceComplex(dims, target, sources)
+
+
 def seeded_relabel(complex_: FaceComplex, seed: int) -> FaceComplex:
     """The complex with its faces renamed in a seeded random order."""
     names = list(complex_.faces())

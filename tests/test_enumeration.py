@@ -24,9 +24,10 @@ from opetope_kit import (
 )
 from opetope_kit import enumeration
 from opetope_kit.enumeration import _least_multisets, _options, _profiles
+from opetope_kit.iso import complex_from_certificate
 from opetope_kit.zpo import settled_violations
 
-from helpers import OPETOPES_4_9, single_edit_mutations, tree_opetope_count
+from helpers import OPETOPES_4_9, single_edit_mutations, stacked, tree_opetope_count
 from test_equivalence_random import random_tree
 
 
@@ -252,64 +253,63 @@ def test_known_opetopes_have_euler_characteristic_one(enumerated, opetopes_4_9):
         assert len(complex_.stratum(complex_.dimension)) == 1
 
 
-def _built_stages(monkeypatch, run):
+def _recorded_builds(monkeypatch):
+    """The list that each complex the walk builds from a certificate is
+    appended to, in call order."""
     built = []
 
-    class Recording(FaceComplex):
-        __slots__ = ()
+    def recording(cert):
+        built.append(complex_from_certificate(cert))
+        return built[-1]
 
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            built.append((self, "extends" in kwargs))
-
-    monkeypatch.setattr(enumeration, "FaceComplex", Recording)
-    run()
+    monkeypatch.setattr(enumeration, "complex_from_certificate", recording)
     return built
 
 
-@pytest.mark.parametrize("run", [
-    lambda: list(enumerate_positive_opetopes(EnumerationBudget(4, 8))),
-    lambda: list(enumerate_pops(EnumerationBudget(3, 7))),
+@pytest.mark.parametrize("run, opetopes_only", [
+    (lambda: list(enumerate_positive_opetopes(EnumerationBudget(4, 8))), True),
+    (lambda: list(enumerate_pops(EnumerationBudget(3, 7))), False),
 ], ids=["opetopes-4-8", "pops-3-7"])
-def test_extended_stages_equal_their_full_rebuild(monkeypatch, run):
-    built = _built_stages(monkeypatch, run)
-    assert sum(extended for _, extended in built) > len(built) // 2
-    for stage, _ in built:
-        full = FaceComplex(*stage.to_data())
-        assert stage == full
-        assert stage.faces() == full.faces()
-        assert stage.dimension == full.dimension
-        for k in range(-1, full.dimension + 2):
-            assert stage.stratum(k) == full.stratum(k)
-        for x in full.faces():
-            assert stage.cofaces(x) == full.cofaces(x)
-            assert stage.covers(x) == full.covers(x)
+def test_each_kept_class_is_its_canonical_representative(monkeypatch, run, opetopes_only):
+    """Each class that the walk keeps is ``complex_from_certificate`` of its
+    canonical form, built once, and the stream yields those same objects."""
+    built, kept = _recorded_builds(monkeypatch), {}
+    classes = enumeration._classes
+
+    def recording_classes(*args, **kwargs):
+        for found in classes(*args, **kwargs):
+            kept.update(found)
+            yield found
+
+    monkeypatch.setattr(enumeration, "_classes", recording_classes)
+    stream = run()
+    assert len({canonical_form(c) for c in built}) == len(built)
+    assert {id(c) for c in kept.values()} <= {id(c) for c in built}
+    assert opetopes_only or len(kept) == len(built)
+    for cert, complex_ in kept.items():
+        assert canonical_form(complex_) == cert and complex_ == complex_from_certificate(cert)
+    expected = [complex_ for cert, complex_ in
+                sorted(kept.items(), key=lambda item: (sum(item[0][0]), len(item[0][0]), item[0]))
+                if not opetopes_only or is_positive_opetope(complex_).passed]
+    assert len(stream) == len(expected) and all(a is b for a, b in zip(stream, expected))
 
 
 def test_settled_axioms_are_decided_before_the_stage_is_built(monkeypatch):
     """For every assignment the (4, 9) search tries, the first violation
     that the search reads from the parent and the assignment is the first
-    one the checker finds on the stage built from them.  Of the stages where
-    there is none, the search builds exactly the first of each class.  Each
-    of the five axioms rejects some assignment."""
-    def search():
-        return list(enumerate_positive_opetopes(EnumerationBudget(4, 9)))
-
-    tried = []
+    one the checker finds on the stage built from them.  The search builds
+    one complex per class of the stages where there is none, when it meets
+    the first of them.  Each of the five axioms rejects some assignment."""
+    tried, built = [], _recorded_builds(monkeypatch)
     real = enumeration.level_violations
 
     def build_anyway(level):
-        targets, sources = zip(*level.covers)
-        stage = FaceComplex(dict.fromkeys(level.names, level.k),
-                            dict(zip(level.names, targets)),
-                            dict(zip(level.names, sources)), extends=level.below)
+        stage = stacked(level.below, level.names, level.covers)
         tried.append((stage, next(real(level), None)))
         return real(level)
 
     monkeypatch.setattr(enumeration, "level_violations", build_anyway)
-    search()
-    monkeypatch.setattr(enumeration, "level_violations", real)
-    built = [stage for stage, extended in _built_stages(monkeypatch, search) if extended]
+    list(enumerate_positive_opetopes(EnumerationBudget(4, 9)))
 
     for stage, violation in tried:
         assert violation == next(settled_violations(stage, stage.dimension), None)
@@ -317,33 +317,28 @@ def test_settled_axioms_are_decided_before_the_stage_is_built(monkeypatch):
     for stage, violation in tried:
         if violation is None:
             firsts.setdefault(canonical_form(stage), stage)
-    assert built == list(firsts.values())
+    assert [canonical_form(c) for c in built if c.dimension] == list(firsts)
     rejected = Counter(violation.axiom for _, violation in tried if violation is not None)
     assert rejected == {"principality": 304, "strictness": 64, "disjointness": 96,
                         "pencil-linearity": 9, "globularity": 3}
-    assert len(tried) == 530 and len(built) == 33
+    assert len(tried) == 530 and len(firsts) == 33
 
 
 def _kept_per_parent(monkeypatch, budget):
-    """The classes of the extensions that the opetope search builds, keyed by
-    the class of their parent, and the number of assignments it tries."""
+    """The classes of the extensions that pass the opetope search's settled
+    axioms, keyed by the class of their parent, and the number of
+    assignments it tries."""
     kept, tried = defaultdict(set), Counter()
     real = enumeration.level_violations
 
-    class Recording(FaceComplex):
-        __slots__ = ()
-
-        def __init__(self, *args, extends=None, **kwargs):
-            super().__init__(*args, extends=extends, **kwargs)
-            if extends is not None:
-                kept[canonical_form(extends)].add(canonical_form(self))
-
-    def counting(level):
+    def recording(level):
         tried["assignments"] += 1
+        if next(real(level), None) is None:
+            stage = stacked(level.below, level.names, level.covers)
+            kept[canonical_form(level.below)].add(canonical_form(stage))
         return real(level)
 
-    monkeypatch.setattr(enumeration, "FaceComplex", Recording)
-    monkeypatch.setattr(enumeration, "level_violations", counting)
+    monkeypatch.setattr(enumeration, "level_violations", recording)
     list(enumerate_positive_opetopes(budget))
     return kept, tried["assignments"]
 

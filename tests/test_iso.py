@@ -28,6 +28,7 @@ from helpers import (
     disjoint_arrows,
     seeded_relabel,
     single_edit_mutations,
+    stacked,
 )
 from test_equivalence_random import random_tree
 
@@ -129,10 +130,11 @@ def _canonicalised_stages(monkeypatch, budget):
 
 
 # SHA-256 over canonical_labeling (the certificate and the sorted labels,
-# one repr per line), computed while the refinement still recomputed every
-# face's signature in every round and the search pruned only literally
-# interchangeable faces.
-LABELLING_SHA256 = "a4c5ec5d8e0e30dbeb0a89845caae24a9c887fac89f8e88142dc382c18eb9820"
+# one repr per line), computed with the canonical_labeling whose refinement
+# still recomputed every face's signature in every round and whose search
+# pruned only literally interchangeable faces (iso.py at commit b661dfe,
+# loaded on its own); the current one gives the same digest.
+LABELLING_SHA256 = "ec8e37caa9e556157daa0b5a27418d811c6933b0c6919972838a15cf2b9c3599"
 
 
 def test_canonical_labellings_are_pinned(monkeypatch):
@@ -198,11 +200,7 @@ def _stages_beside_their_index(monkeypatch, run):
             self.parent = complex_
 
         def extend(self, names, covers):
-            k = len(self.offsets) - 1
-            targets, sources = zip(*covers)
-            pairs.append((FaceComplex(dict.fromkeys(names, k), dict(zip(names, targets)),
-                                      dict(zip(names, sources)), extends=self.parent),
-                          super().extend(names, covers)))
+            pairs.append((stacked(self.parent, names, covers), super().extend(names, covers)))
             return pairs[-1][1]
 
     monkeypatch.setattr(enumeration, "_Index", Recording)
@@ -215,10 +213,10 @@ def test_certificate_from_the_parent_index_is_the_canonical_form_of_the_stage(mo
     """Every candidate of the census at (3, 7) and of the opetope search at
     (4, 9) gets, from its parent's index plus the assignment, the numbering
     and the canonical form of the stage that the assignment stacks on the
-    parent."""
+    parent; a dimension-0 base is stacked on the empty index."""
     for run, candidates in (
-            (lambda: list(enumerate_pops(EnumerationBudget(3, 7))), 1288),
-            (lambda: list(enumerate_positive_opetopes(EnumerationBudget(4, 9))), 54)):
+            (lambda: list(enumerate_pops(EnumerationBudget(3, 7))), 1295),
+            (lambda: list(enumerate_positive_opetopes(EnumerationBudget(4, 9))), 58)):
         pairs = _stages_beside_their_index(monkeypatch, run)
         assert len(pairs) == candidates
         for stage, index in pairs:
