@@ -247,8 +247,10 @@ def stacked(parent, names, covers) -> FaceComplex:
     """``parent`` with ``names`` stacked on it as a new top stratum, each
     face with its ``(target, sources)`` pair of ``covers`` (with no parent,
     ``names`` are points and take no covers), built by the full constructor."""
-    dims, target, sources = parent.to_data() if parent is not None else ({}, {}, {})
-    dims.update(dict.fromkeys(names, parent.dimension + 1 if parent is not None else 0))
+    if parent is None:
+        return FaceComplex(dict.fromkeys(names, 0), {}, {})
+    dims, target, sources = parent.to_data()
+    dims.update(dict.fromkeys(names, parent.dimension + 1))
     for x, (t, s) in zip(names, covers):
         target[x], sources[x] = t, s
     return FaceComplex(dims, target, sources)
