@@ -117,7 +117,8 @@ class _Faces(dict):
 def _validate(faces, target, sources):
     """Check the base axioms; return (report, dims, target, sources).
 
-    Inputs are read in the order given: the report is sorted at the end.
+    Every report comes from here, not from ``_accepted``.  Inputs are read
+    in the order given: the report is sorted at the end.
     """
     bad: list[Violation] = []
     items = list(faces.items()) if isinstance(faces, Mapping) else [tuple(i) for i in faces]
@@ -210,6 +211,30 @@ def _validate(faces, target, sources):
     return AxiomReport.of(bad), dims, tgt, src
 
 
+def _accepted(faces, target, sources):
+    """What ``_validate`` returns when every base axiom holds, else None:
+    a yes/no check in one pass per input, with no report."""
+    try:
+        dims = _Faces(faces)
+        values = list(dims.values())
+        # an unknown or dimension-0 subject wants dimension -1, which nothing has
+        if (not dims or len(dims) < len(faces) or not all(map(_NAME_RE.fullmatch, dims))
+                or set(map(type, values)) != {int} or min(values) < 0
+                or any(dims.get(t, -2) != dims.get(x, 0) - 1 for x, t in target.items())):
+            return None
+        src = {}
+        for x, entries in sources.items():
+            count, below = len(entries), dims.get(x, 0) - 1
+            src[x] = seen = frozenset(entries)
+            if (below < 0 or len(seen) < count or target.get(x) in seen
+                    or (below == 0 and count > 1) or set(map(dims.get, seen)) != {below}):
+                return None
+    except (AttributeError, TypeError, ValueError):  # malformed: _validate says how
+        return None
+    complete = len(target) == len(src) == len(dims) - values.count(0)
+    return (AxiomReport(), dims, dict(target), src) if complete else None
+
+
 def validate_complex_data(faces, target, sources) -> AxiomReport:
     """Run the base-axiom validation without constructing a complex."""
     return _validate(faces, target, sources)[0]
@@ -221,13 +246,16 @@ class FaceComplex:
     ``faces`` maps names to dimensions (or is an iterable of pairs),
     ``target`` maps each dim >= 1 face to its target and ``sources`` to its
     nonempty source set.  Raises :class:`InvalidComplex` when any base
-    axiom fails; the exception carries the full report.
+    axiom fails; the exception carries the full report.  A one-pass check
+    accepts valid input; only on a no does ``_validate`` write the report.
     """
 
     __slots__ = ("_dims", "_strata", "_target", "_sources", "_pencils")
 
     def __init__(self, faces, target, sources):
-        report, dims, tgt, src = _validate(faces, target, sources)
+        if not isinstance(faces, Mapping):
+            faces = list(faces)  # read again on a no
+        report, dims, tgt, src = _accepted(faces, target, sources) or _validate(faces, target, sources)
         if not report.passed:
             raise InvalidComplex(report)
         # One pass in name order: each stratum comes out sorted, and so do

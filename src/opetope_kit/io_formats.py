@@ -8,14 +8,13 @@ The text format has three statement kinds plus comments and blank lines::
 
 Identifiers are ASCII (`[A-Za-z_][A-Za-z0-9_']*`); blanks (spaces and
 tabs) around tokens are free; duplicate declarations are reported with
-their line.  Two regular expressions read a line, and they are the whole
-grammar: one takes the first word, and the pattern of that word's
-statement kind takes the rest.  That pattern nests the statement's tokens
-as optional groups, each tried only once every token before it has
-matched, so one match reads as far as the line is well formed.  The last
-group that matched tells what was expected next, or accepts the line when
-it is the end-of-line group; a syntax error's column is that of the first
-non-blank character after the match (1-based).
+their line.  One token table per statement kind is the whole grammar.
+``parse_dsl`` accepts a well-formed text by matching each line whole, once;
+on anything else the line reader explains the error.  It matches the first
+word, then that word's statement pattern, whose tokens nest as optional
+groups, so one match reads as far as the line is well formed.  The last
+group that matched tells what was expected next; a syntax error's column
+is that of the first non-blank character after the match (1-based).
 
 The JSON shape is an object with "faces" (name to dimension), "target" and
 "sources" maps.  Both emitters are byte-deterministic: keys and source
@@ -72,19 +71,28 @@ def _statement(*tokens: str, tail: str = rf"(?:{_S}(\Z))?") -> re.Pattern:
     return re.compile(body + _S)
 
 
+# Per statement kind, the tokens after its first word: subject, separator, value.
+_DSL_GRAMMAR = {"face": (_ID, ":", "[0-9]+"), "tgt": (_ID, "->", _ID),
+                "src": (_ID, "<-", rf"{_ID}(?:{_S},{_S}{_ID})*")}
+
 # Per statement kind: its pattern and, indexed by the last group that
 # matched (0 for none), the text it expected next; None accepts the line.
 # A source list is one group; a comma after it still wants a name.
 _DSL_STATEMENTS = {
-    "face": (_statement(_ID, ":", "[0-9]+"),
+    "face": (_statement(*_DSL_GRAMMAR["face"]),
              ("face name", "':'", "dimension", "end of line", None)),
-    "tgt": (_statement(_ID, "->", _ID),
+    "tgt": (_statement(*_DSL_GRAMMAR["tgt"]),
             ("face name", "'->'", "target face name", "end of line", None)),
-    "src": (_statement(_ID, "<-", rf"{_ID}(?:{_S},{_S}{_ID})*",
-                       tail=rf"(?:{_S}(,)|{_S}(\Z))?"),
+    "src": (_statement(*_DSL_GRAMMAR["src"], tail=rf"(?:{_S}(,)|{_S}(\Z))?"),
             ("face name", "'<-'", "source face name", "end of line",
              "source face name", None)),
 }
+
+# A whole well-formed line: a statement, whose value group is named after
+# its kind and follows its subject's group, or a blank or comment line.
+_DSL_LINE = re.compile("|".join(
+    [rf"{_S}{word}[ \t]+({name}){_S}{sep}{_S}(?P<{word}>{value}){_S}"
+     for word, (name, sep, value) in _DSL_GRAMMAR.items()] + [r"\s*(?:#.*)?"]))
 
 
 def parse_dsl(text: str) -> ComplexDocument:
@@ -95,7 +103,40 @@ def parse_dsl(text: str) -> ComplexDocument:
     source entry is declared twice.  Declaring a target or source list for
     a dimension-0 face is rejected here as well, since it is almost always
     a typo and the position is still at hand.
+
+    Well-formed text is accepted in one pass.  A line that pass cannot
+    match, a repeat, a dimension ``int()`` refuses or a dimension-0 subject
+    sends the whole text to ``_read_lines``, which explains the error.
     """
+    doc, statements = ComplexDocument(), 0
+    for match in map(_DSL_LINE.fullmatch, text.splitlines()):
+        if match is None:
+            return _read_lines(text)
+        kind = match.lastgroup
+        if kind is None:
+            continue
+        statements += 1
+        name, value = match.group(match.lastindex - 1, kind)
+        if kind == "face":
+            try:
+                doc.faces.append((name, int(value)))
+            except ValueError:  # more digits than int() converts
+                return _read_lines(text)
+        elif kind == "tgt":
+            doc.target[name] = value
+        else:  # names and commas, with blanks around the commas
+            doc.sources[name] = entries = value.replace(" ", "").replace("\t", "").split(",")
+            if len(set(entries)) < len(entries):
+                return _read_lines(text)
+    dims = dict(doc.faces)
+    if (len(dims) + len(doc.target) + len(doc.sources) < statements  # a name repeats
+            or 0 in map(dims.get, [*doc.target, *doc.sources])):  # a dimension-0 subject
+        return _read_lines(text)
+    return doc
+
+
+def _read_lines(text: str) -> ComplexDocument:
+    """The line reader: raise the first error in ``text``, or read it."""
     doc = ComplexDocument()
     declared: dict[str, int] = {}
     subject_positions: list[tuple[str, int, int]] = []

@@ -4,8 +4,8 @@ Everything here is intentionally dumb: plain exhaustive searches whose
 only job is to be obviously correct, so the clever implementations have
 something independent to agree with.  The pinned (4, 9) opetopes, the
 fixture trees, the corpus fixtures (the complexes ``scripts/gen_corpus.py``
-writes to ``corpus/``) and the single-edit mutation generator close the
-file.
+writes to ``corpus/``), the single-edit mutation generator, seeded byte
+edits and wrong-shape JSON documents close the file.
 """
 
 from __future__ import annotations
@@ -436,3 +436,56 @@ def single_edit_mutations(
         sources = dict(base_sources)
         sources[x] = base_sources[x] | {old}
         yield (f"flip target {old} of {x} into a source", dims, target, sources)
+
+
+def mutate_bytes(data: bytes, rng: random.Random, donors: list[bytes]) -> bytes:
+    """One byte-level edit, or two in a quarter of the inputs: a flipped
+    bit, a deleted run of bytes, a run spliced in from a corpus file, or a
+    deleted or duplicated line."""
+    for _ in range(1 + (rng.random() < 0.25)):
+        if not data:
+            break
+        kind, at = rng.randrange(5), rng.randrange(len(data))
+        if kind == 0:
+            data = data[:at] + bytes([data[at] ^ (1 << rng.randrange(8))]) + data[at + 1:]
+        elif kind == 1:
+            data = data[:at] + data[at + rng.randint(1, 4):]
+        elif kind == 2:
+            donor = rng.choice(donors)
+            start = rng.randrange(len(donor))
+            data = data[:at] + donor[start:start + rng.randint(1, 12)] + data[at:]
+        else:
+            lines = data.split(b"\n")
+            i = rng.randrange(len(lines))
+            lines[i:i + 1] = [lines[i]] * (kind - 2)
+            data = b"\n".join(lines)
+    return data
+
+
+WRONG_SHAPES = (None, [], {}, "x", 1, -1, True, 1.5)
+
+
+def _json_paths(value, path=()):
+    """The path of ``value`` and of every value nested in it."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _replaced(value, path, new):
+    """A copy of ``value`` with ``new`` at ``path``."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def wrong_shape_documents(data) -> Iterator:
+    """``data`` with one of its values, or itself, replaced by one value of
+    ``WRONG_SHAPES``: every such document, paths in pre-order."""
+    for path in _json_paths(data):
+        for value in WRONG_SHAPES:
+            yield _replaced(data, path, value)

@@ -23,6 +23,8 @@ from opetope_kit import (
 )
 from opetope_kit.cli import main
 
+from helpers import mutate_bytes, wrong_shape_documents
+
 
 @pytest.fixture()
 def two2_dsl(tmp_path):
@@ -501,30 +503,6 @@ def _fuzz_argv(command, path, complex_):
     return [command, path]
 
 
-def _mutate(data, rng, donors):
-    """One byte-level edit, or two in a quarter of the inputs: a flipped
-    bit, a deleted run of bytes, a run spliced in from a corpus file, or a
-    deleted or duplicated line."""
-    for _ in range(1 + (rng.random() < 0.25)):
-        if not data:
-            break
-        kind, at = rng.randrange(5), rng.randrange(len(data))
-        if kind == 0:
-            data = data[:at] + bytes([data[at] ^ (1 << rng.randrange(8))]) + data[at + 1:]
-        elif kind == 1:
-            data = data[:at] + data[at + rng.randint(1, 4):]
-        elif kind == 2:
-            donor = rng.choice(donors)
-            start = rng.randrange(len(donor))
-            data = data[:at] + donor[start:start + rng.randint(1, 12)] + data[at:]
-        else:
-            lines = data.split(b"\n")
-            i = rng.randrange(len(lines))
-            lines[i:i + 1] = [lines[i]] * (kind - 2)
-            data = b"\n".join(lines)
-    return data
-
-
 def test_cli_fuzzed_corpus_keeps_the_exit_code_contract(tmp_path):
     """Byte-mutated corpus files through every file-reading command, in
     process: each returns 0, 1 or 2 and prints no traceback, and at least
@@ -538,7 +516,7 @@ def test_cli_fuzzed_corpus_keeps_the_exit_code_contract(tmp_path):
     parsed = calls = 0
     for _ in range(rounds):
         for source, original, complex_ in zip(files, donors, complexes):
-            data = _mutate(original, rng, donors)
+            data = mutate_bytes(original, rng, donors)
             path = tmp_path / f"fuzz{source.suffix}"
             path.write_bytes(data)
             for command in _FUZZ_COMMANDS:
@@ -554,27 +532,6 @@ def test_cli_fuzzed_corpus_keeps_the_exit_code_contract(tmp_path):
     assert parsed >= 0.1 * rounds * len(files)
 
 
-WRONG_SHAPES = (None, [], {}, "x", 1, -1, True, 1.5)
-
-
-def _json_paths(value, path=()):
-    """The path of ``value`` and of every value nested in it."""
-    yield path
-    items = (value.items() if isinstance(value, dict)
-             else enumerate(value) if isinstance(value, list) else ())
-    for key, child in items:
-        yield from _json_paths(child, path + (key,))
-
-
-def _replaced(value, path, new):
-    """A copy of ``value`` with ``new`` at ``path``."""
-    if not path:
-        return new
-    copy = dict(value) if isinstance(value, dict) else list(value)
-    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
-    return copy
-
-
 def test_wrong_shape_json_keeps_the_exit_code_contract(monkeypatch):
     """Every value of every corpus JSON file, the document itself included,
     replaced by each wrong-shape value and validated in process from
@@ -583,13 +540,11 @@ def test_wrong_shape_json_keeps_the_exit_code_contract(monkeypatch):
     codes = Counter()
     for file in sorted(corpus.glob("*.json")):
         data = json.loads(file.read_text(encoding="utf-8"))
-        for path in _json_paths(data):
-            for value in WRONG_SHAPES:
-                text = json.dumps(_replaced(data, path, value))
-                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    codes[main(["validate", "-", "--format", "json"])] += 1
+        for document in wrong_shape_documents(data):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(document)))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes[main(["validate", "-", "--format", "json"])] += 1
     assert codes == {2: 3306, 0: 52, 1: 26}
 
 
@@ -620,7 +575,7 @@ def test_mutated_map_files_keep_the_exit_code_contract(tmp_path):
     donors = list(_ARROW_MAPS) + [b"=> # =>", "é => ü\n".encode("utf-8")]
     codes = Counter()
     for number in range(150):
-        data = _mutate(_ARROW_MAPS[number % 2], rng, donors)
+        data = mutate_bytes(_ARROW_MAPS[number % 2], rng, donors)
         map_file.write_bytes(data)
         code, _, err = _run_in_process(argv)
         codes[code] += 1

@@ -22,6 +22,7 @@ from opetope_kit import (
     validate_complex_data,
     validate_morphism,
 )
+from opetope_kit import core
 from opetope_kit.errors import DimensionTooHigh
 
 from helpers import corpus_fixtures, single_edit_mutations
@@ -414,6 +415,32 @@ def test_base_reports_are_pinned(small_pops):
         count += 1
     assert count == 1088
     assert digest.hexdigest() == BASE_REPORTS_SHA256
+
+
+def _built_shape(complex_):
+    return (complex_.to_data(), [complex_.stratum(k) for k in range(complex_.dimension + 1)],
+            {y: complex_.pencils(y) for y in complex_.faces()})
+
+
+def test_bulk_check_agrees_with_validate(small_pops, monkeypatch):
+    """The constructor's one-pass check says yes exactly when ``_validate``
+    passes; a no raises ``InvalidComplex`` with ``_validate``'s report, and a
+    yes builds what a build through ``_validate`` alone builds."""
+    inputs = list(_base_report_inputs(small_pops))
+    built = {}
+    for number, (faces, target, sources) in enumerate(inputs):
+        report = validate_complex_data(faces, target, sources)
+        assert (core._accepted(faces, target, sources) is not None) == report.passed
+        if report.passed:
+            built[number] = _built_shape(FaceComplex(faces, target, sources))
+        else:
+            with pytest.raises(InvalidComplex) as err:
+                FaceComplex(faces, target, sources)
+            assert err.value.report == report
+    monkeypatch.setattr(core, "_accepted", lambda faces, target, sources: None)
+    for number, shape in built.items():
+        assert _built_shape(FaceComplex(*inputs[number])) == shape
+    assert 200 < len(built) < len(inputs) - 200
 
 
 PUBLIC_NAMES = [

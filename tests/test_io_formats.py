@@ -1,6 +1,9 @@
 import hashlib
+import json
+import pathlib
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -18,6 +21,9 @@ from opetope_kit import (
     parse_dsl,
     parse_json,
 )
+from opetope_kit.io_formats import _DSL_HEAD, _DSL_LINE, _DSL_STATEMENTS
+
+from helpers import mutate_bytes, wrong_shape_documents
 
 ARROW_TEXT = "face x : 0\nface y : 0\nface f : 1\ntgt f -> y\nsrc f <- x"
 
@@ -306,3 +312,71 @@ def test_dsl_parse_outcomes_are_pinned():
     assert parsed > 1000
     assert len(inputs) == 12650
     assert digest.hexdigest() == DSL_OUTCOMES_SHA256
+
+
+def _line_reader_reading(line):
+    """What the line reader makes of one line: (kind, name, value) for a
+    statement it accepts, () for a blank or comment line, None otherwise."""
+    if not line.strip() or line.strip().startswith("#"):
+        return ()
+    head = _DSL_HEAD.match(line)
+    if head[2] not in _DSL_STATEMENTS:
+        return None
+    pattern, expected = _DSL_STATEMENTS[head[2]]
+    match = pattern.match(line, head.end())
+    return None if expected[match.lastindex or 0] else (head[2], match[1], match[3])
+
+
+def test_whole_line_pattern_agrees_with_the_line_reader():
+    """On every line of _dsl_battery, the one-pass pattern accepts exactly
+    the lines the line reader accepts, and reads the same kind, subject
+    and value from each."""
+    kinds = Counter()
+    for line in sorted({line for text in _dsl_battery() for line in text.splitlines()}):
+        match = _DSL_LINE.fullmatch(line)
+        reading = (None if match is None else () if match.lastgroup is None
+                   else (match.lastgroup, *match.group(match.lastindex - 1, match.lastindex)))
+        assert reading == _line_reader_reading(line), line
+        kinds[reading[0] if reading else reading] += 1
+    assert min(kinds[kind] for kind in ("face", "tgt", "src", (), None)) > 50
+
+
+def _json_battery():
+    """Each corpus JSON file, every wrong-shape document made from it (a
+    value, or the whole document, replaced by a wrong-shape value), and
+    seeded byte edits of it, decoded with replacement characters."""
+    corpus = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+    originals = [f.read_bytes() for f in sorted(corpus.glob("*.json"))]
+    inputs = [data.decode("utf-8") for data in originals]
+    for data in originals:
+        inputs.extend(json.dumps(doc) for doc in wrong_shape_documents(json.loads(data)))
+    rng = random.Random(13)
+    for _ in range(60):
+        inputs.extend(mutate_bytes(data, rng, originals).decode("utf-8", "replace")
+                      for data in originals)
+    return inputs
+
+
+# SHA-256 over the outcome of parse_json (the JsonShapeError's path and
+# message, or the parsed faces, targets and sources) on every input of
+# _json_battery, computed before parse_dsl and FaceComplex took one-pass
+# accepting paths; parse_json itself is unchanged.
+JSON_OUTCOMES_SHA256 = "512ff51abb3f075df221805d2caa32842359f57cc34bac0ebebad2f7469ddcaa"
+
+
+def test_json_parse_outcomes_are_pinned():
+    inputs = _json_battery()
+    digest = hashlib.sha256()
+    parsed = 0
+    for text in inputs:
+        try:
+            doc = parse_json(text)
+        except JsonShapeError as err:
+            outcome = (err.path, str(err))
+        else:
+            outcome = (doc.faces, doc.target, doc.sources)
+            parsed += 1
+        digest.update(repr((text, outcome)).encode("utf-8") + b"\n")
+    assert len(inputs) == 4055
+    assert parsed == 247
+    assert digest.hexdigest() == JSON_OUTCOMES_SHA256
