@@ -49,10 +49,13 @@ def _sniff_format(path: str, override: str | None) -> str:
 
 
 def _read(path: str) -> str:
+    """The text of ``path`` (``-`` for stdin) without a leading byte-order mark."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    return text.removeprefix("\ufeff")
 
 
 def _load_document(path: str, fmt: str | None):

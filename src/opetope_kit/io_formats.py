@@ -9,12 +9,14 @@ The text format has three statement kinds plus comments and blank lines::
 Identifiers are ASCII (`[A-Za-z_][A-Za-z0-9_']*`); blanks (spaces and
 tabs) around tokens are free; duplicate declarations are reported with
 their line.  One token table per statement kind is the whole grammar.
-``parse_dsl`` accepts a well-formed text by matching each line whole, once;
-on anything else the line reader explains the error.  It matches the first
-word, then that word's statement pattern, whose tokens nest as optional
-groups, so one match reads as far as the line is well formed.  The last
-group that matched tells what was expected next; a syntax error's column
-is that of the first non-blank character after the match (1-based).
+``parse_dsl`` is the one reader: a single pass that matches each line
+whole, once, against a pattern built from that table, and raises each
+error at the line where it occurs.  A line the pattern rejects is
+explained on the spot by matching its first word, then that word's
+statement pattern, whose tokens nest as optional groups, so one match
+reads as far as the line is well formed.  The last group that matched
+tells what was expected next; a syntax error's column is that of the
+first non-blank character after the match (1-based).
 
 The JSON shape is an object with "faces" (name to dimension), "target" and
 "sources" maps.  Both emitters are byte-deterministic: keys and source
@@ -60,7 +62,6 @@ class ComplexDocument:
 
 _S = r"[ \t]*"
 _DSL_HEAD = re.compile(rf"({_S})({_ID})?")
-_DSL_SOURCE_SEP = re.compile(rf"{_S},{_S}")
 
 
 def _statement(*tokens: str, tail: str = rf"(?:{_S}(\Z))?") -> re.Pattern:
@@ -104,88 +105,61 @@ def parse_dsl(text: str) -> ComplexDocument:
     a dimension-0 face is rejected here as well, since it is almost always
     a typo and the position is still at hand.
 
-    Well-formed text is accepted in one pass.  A line that pass cannot
-    match, a repeat, a dimension ``int()`` refuses or a dimension-0 subject
-    sends the whole text to ``_read_lines``, which explains the error.
+    One pass over the lines: each is matched whole, once, and every error
+    is raised at the line where it occurs, except the dimension-0 subject
+    check, which needs every face declared and so runs after the loop, in
+    line order.
     """
-    doc, statements = ComplexDocument(), 0
-    for match in map(_DSL_LINE.fullmatch, text.splitlines()):
+    doc, dims, subjects = ComplexDocument(), {}, []
+    lines = text.splitlines()
+    for lineno, match in enumerate(map(_DSL_LINE.fullmatch, lines), start=1):
         if match is None:
-            return _read_lines(text)
+            raise _syntax_error(lineno, lines[lineno - 1])
         kind = match.lastgroup
         if kind is None:
             continue
-        statements += 1
         name, value = match.group(match.lastindex - 1, kind)
         if kind == "face":
-            try:
-                doc.faces.append((name, int(value)))
-            except ValueError:  # more digits than int() converts
-                return _read_lines(text)
-        elif kind == "tgt":
-            doc.target[name] = value
-        else:  # names and commas, with blanks around the commas
-            doc.sources[name] = entries = value.replace(" ", "").replace("\t", "").split(",")
-            if len(set(entries)) < len(entries):
-                return _read_lines(text)
-    dims = dict(doc.faces)
-    if (len(dims) + len(doc.target) + len(doc.sources) < statements  # a name repeats
-            or 0 in map(dims.get, [*doc.target, *doc.sources])):  # a dimension-0 subject
-        return _read_lines(text)
-    return doc
-
-
-def _read_lines(text: str) -> ComplexDocument:
-    """The line reader: raise the first error in ``text``, or read it."""
-    doc = ComplexDocument()
-    declared: dict[str, int] = {}
-    subject_positions: list[tuple[str, int, int]] = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        head = _DSL_HEAD.match(raw)
-        word = head[2]
-        if word not in _DSL_STATEMENTS:
-            raise DslSyntaxError(lineno, head.end(1) + 1, "'face', 'tgt' or 'src'")
-        pattern, expected = _DSL_STATEMENTS[word]
-        match = pattern.match(raw, head.end())
-        missing = expected[match.lastindex or 0]
-        if missing is not None:
-            raise DslSyntaxError(lineno, match.end() + 1, missing)
-        name = match[1]
-        if word == "face":
-            if name in declared:
+            if name in dims:
                 raise DuplicateDeclaration(lineno, f"face {name}")
             try:
-                declared[name] = dim = int(match[3])
+                dims[name] = dim = int(value)
             except ValueError:  # more digits than int() converts
-                raise DslSyntaxError(lineno, match.start(3) + 1,
+                raise DslSyntaxError(lineno, match.start(kind) + 1,
                                      "a dimension with fewer digits") from None
             doc.faces.append((name, dim))
             continue
-        if word == "tgt":
+        if kind == "tgt":
             if name in doc.target:
                 raise DuplicateDeclaration(lineno, f"target of {name}")
-            doc.target[name] = match[3]
+            doc.target[name] = value
         else:
             if name in doc.sources:
                 raise DuplicateDeclaration(lineno, f"sources of {name}")
-            entries = _DSL_SOURCE_SEP.split(match[3])
-            if len(set(entries)) != len(entries):
+            # names and commas, with blanks around the commas
+            entries = value.replace(" ", "").replace("\t", "").split(",")
+            if len(set(entries)) < len(entries):
                 counts = Counter(entries)
-                for entry in entries:
-                    if counts[entry] > 1:
-                        raise DuplicateDeclaration(
-                            lineno, f"source {entry} of {name}")
+                entry = next(entry for entry in entries if counts[entry] > 1)
+                raise DuplicateDeclaration(lineno, f"source {entry} of {name}")
             doc.sources[name] = entries
-        subject_positions.append((name, lineno, match.start(1) + 1))
+        subjects.append((name, lineno, match.start(match.lastindex - 1) + 1))
 
-    for name, lineno, col in subject_positions:
-        if declared.get(name) == 0:
+    for name, lineno, col in subjects:
+        if dims.get(name) == 0:
             raise DslSyntaxError(lineno, col, "a face of dimension >= 1")
     return doc
+
+
+def _syntax_error(lineno: int, line: str) -> DslSyntaxError:
+    """The error for a line ``_DSL_LINE`` rejects: its first word, then
+    that word's statement pattern, read as far as the line is well formed."""
+    head = _DSL_HEAD.match(line)
+    if head[2] not in _DSL_STATEMENTS:
+        return DslSyntaxError(lineno, head.end(1) + 1, "'face', 'tgt' or 'src'")
+    pattern, expected = _DSL_STATEMENTS[head[2]]
+    match = pattern.match(line, head.end())
+    return DslSyntaxError(lineno, match.end() + 1, expected[match.lastindex or 0])
 
 
 def emit_dsl(complex_: FaceComplex) -> str:
@@ -194,18 +168,16 @@ def emit_dsl(complex_: FaceComplex) -> str:
     Face names outside the ASCII identifier grammar cannot be written in
     this format and raise :class:`NonAsciiName`.
     """
+    faces, covers = [], []
     for name in complex_.faces():
         if not _DSL_ID.fullmatch(name):
             raise NonAsciiName(name)
-    lines = []
-    for name in complex_.faces():
-        lines.append(f"face {name} : {complex_.dim(name)}")
-    for name in complex_.faces():
-        if complex_.dim(name) == 0:
-            continue
-        lines.append(f"tgt {name} -> {complex_.gamma(name)}")
-        lines.append(f"src {name} <- " + ", ".join(sorted(complex_.delta(name))))
-    return "\n".join(lines) + "\n"
+        dim = complex_.dim(name)
+        faces.append(f"face {name} : {dim}")
+        if dim:
+            covers.append(f"tgt {name} -> {complex_.gamma(name)}")
+            covers.append(f"src {name} <- " + ", ".join(sorted(complex_.delta(name))))
+    return "\n".join(faces + covers) + "\n"
 
 
 # -- JSON -----------------------------------------------------------------

@@ -360,6 +360,39 @@ def test_stdin_requires_format(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
 
 
+BOM_FILES = {
+    "arrow.dsl": "face x : 0\nface y : 0\nface f : 1\ntgt f -> y\nsrc f <- x\n",
+    "bad.dsl": " face x 0\n",
+    "two2.json": emit_json(two_cell(2)),
+    "map.txt": "x => x0\ny => x1\nf => f1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOM_FILES))
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch, name):
+    """Each command gives the same exit code and report whether or not
+    ``name`` (a DSL, JSON or map file, or its text on stdin) starts with a
+    UTF-8 byte-order mark."""
+    for file, text in BOM_FILES.items():
+        (tmp_path / file).write_text(text, encoding="utf-8")
+    arrow, bad, two2, mapping = (str(tmp_path / file) for file in BOM_FILES)
+    argvs = [["validate", arrow, "--mode", "both"], ["validate", bad],
+             ["validate", two2, "--mode", "both", "--json"],
+             ["morphism", "--from", arrow, "--to", two2, "--map", mapping]]
+    if name != "map.txt":
+        argvs.append(["validate", "-", "--format", name.rsplit(".", 1)[1]])
+
+    def run(prefix):
+        text = prefix + BOM_FILES[name]
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        return [(main(argv), *capsys.readouterr()) for argv in argvs]
+
+    plain = run("")
+    assert [code for code, *_ in plain[:4]] == [0, 2, 0, 0]
+    assert run("\ufeff") == plain
+
+
 def _frame_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
