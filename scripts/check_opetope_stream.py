@@ -7,7 +7,10 @@ and prunes partial stages) must stream the same canonical forms, in the
 same order, as ``enumerate_pops`` filtered by ``is_positive_opetope``.
 One census at the largest budget serves every budget: the stream is
 ordered by face count, then dimension, so a smaller budget's census is
-the part of it within that budget, in the same order.  Both share the
+the part of it within that budget, in the same order.  Every class of
+that census must get the same verdict from ``is_dfc`` and
+``is_positive_opetope`` (the two axiom suites agree), and every opetope
+of every pruned stream below must pass ``is_dfc``.  Both share the
 prefix deduplication, so ``enumerate_pops`` must also stream the same
 canonical forms, in the same order, as ``naive_enumerate_pops`` at
 (3, 7).  At (3, 11) and (4, 11) the pruned search's stream must have its
@@ -22,7 +25,9 @@ enumerator's ``complex_from_certificate`` calls (one per class, when its
 certificate is first met; the builds that validate the naive recount's
 labelled assignments are not counted), and its work-meter ticks: the
 profiles visited and assignments tried that the work limit counts
-(labelled assignments for the naive recount).  Exits 1 on any mismatch.
+(labelled assignments for the naive recount); the census line also
+gives the classes checked by both suites and how many pass both.  Exits
+1 on any mismatch or disagreement.
 Takes under a minute on one core:
 
     python3 scripts/check_opetope_stream.py
@@ -43,6 +48,7 @@ from opetope_kit import (  # noqa: E402
     canonical_form,
     enumerate_pops,
     enumerate_positive_opetopes,
+    is_dfc,
     is_positive_opetope,
     naive_enumerate_pops,
 )
@@ -90,6 +96,12 @@ def _run(search, budget):
                     f"certificates, {built - stages} stages, {ticks - work} ticks")
 
 
+def _dfc_note(stream) -> tuple[bool, str]:
+    """Whether every complex of ``stream`` passes ``is_dfc``, and a note."""
+    failures = sum(not is_dfc(c).passed for c in stream)
+    return not failures, "is_dfc: " + (f"{failures} FAIL" if failures else "ok")
+
+
 def main() -> int:
     enumeration.complex_from_certificate = _counting_build
     enumeration._WorkMeter.tick = _counting_tick
@@ -98,16 +110,24 @@ def main() -> int:
     census = tuple(map(max, zip(*BUDGETS)))
     classes, classes_note = _run(enumerate_pops, census)
     print(f"{census}: census of {len(classes)} classes {classes_note}", flush=True)
-    opetopes = [c for c in classes if is_positive_opetope(c).passed]
+    start = time.perf_counter()
+    verdicts = [(is_positive_opetope(c).passed, is_dfc(c).passed) for c in classes]
+    disagree = sum(zpo != dfc for zpo, dfc in verdicts)
+    failed |= bool(disagree)
+    print(f"{census}: is_positive_opetope and is_dfc on {len(verdicts)} classes in "
+          f"{time.perf_counter() - start:.1f} s; {sum(zpo and dfc for zpo, dfc in verdicts)} "
+          f"pass both; {disagree} disagree: {'ok' if not disagree else 'MISMATCH'}", flush=True)
+    opetopes = [c for c, (zpo, _) in zip(classes, verdicts) if zpo]
     for max_dim, max_faces in BUDGETS:
         pruned, pruned_note = _run(enumerate_positive_opetopes, (max_dim, max_faces))
+        dendritic, dfc_note = _dfc_note(pruned)
         pruned = [canonical_form(c) for c in pruned]
         filtered = [canonical_form(c) for c in opetopes
                     if c.dimension <= max_dim and len(c) <= max_faces]
-        failed |= pruned != filtered
+        failed |= pruned != filtered or not dendritic
         print(f"{(max_dim, max_faces)}: pruned {len(pruned)} opetopes {pruned_note}; "
               f"census filtered {len(filtered)}: "
-              f"{'ok' if pruned == filtered else 'MISMATCH'}", flush=True)
+              f"{'ok' if pruned == filtered else 'MISMATCH'}; {dfc_note}", flush=True)
     clever, clever_note = _run(enumerate_pops, NAIVE_BUDGET)
     naive, naive_note = _run(naive_enumerate_pops, NAIVE_BUDGET)
     clever = [canonical_form(c) for c in clever]
@@ -126,10 +146,11 @@ def main() -> int:
                     for d in range(4) for n in range(1, max_faces + 1)}
         ok = digest.hexdigest() == pinned and len(stream) == length
         trees = {key: found[key] for key in expected} == expected
-        failed |= not (ok and trees)
+        dendritic, dfc_note = _dfc_note(stream)
+        failed |= not (ok and trees and dendritic)
         print(f"({max_dim}, {max_faces}): pruned {len(stream)} opetopes {note}; "
               f"pinned digest: {'ok' if ok else 'MISMATCH'}; "
-              f"tree counts: {'ok' if trees else 'MISMATCH'}", flush=True)
+              f"tree counts: {'ok' if trees else 'MISMATCH'}; {dfc_note}", flush=True)
     return 1 if failed else 0
 
 

@@ -59,9 +59,9 @@ def _read(path: str) -> str:
 
 
 def _load_document(path: str, fmt: str | None):
-    text = _read(path)
-    if path == "-" and not fmt:
+    if path == "-" and not fmt:  # before reading, so no one waits for EOF
         raise ParseError("reading from stdin requires --format")
+    text = _read(path)
     fmt = _sniff_format(path, fmt)
     return parse_dsl(text) if fmt == "dsl" else parse_json(text)
 

@@ -13,8 +13,9 @@ interchangeable readings:
 Construction is eager: a ``FaceComplex`` value existing means every base
 axiom holds (grading, one target and at least one source per face, no face
 that is both source and target of the same face, single-source faces in
-dimension 1).  Everything downstream relies on that guarantee.  Instances
-are immutable and safe to share between threads.
+dimension 1).  Everything downstream relies on that guarantee.  One pass
+accepts valid input and indexes it; ``_validate`` only explains a
+rejection.  Instances are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from itertools import chain
 from .errors import (
     DimensionOutOfRange,
     DimensionTooHigh,
+    InternalInvariantBroken,
     InvalidComplex,
     PreconditionViolation,
     UnknownFaceReference,
@@ -114,16 +116,13 @@ class _Faces(dict):
         raise UnknownFaceReference(f"unknown face {name!r}")
 
 
-def _validate(faces, target, sources):
-    """Check the base axioms; return (report, dims, target, sources).
-
-    Every report comes from here, not from ``_accepted``.  Inputs are read
-    in the order given: the report is sorted at the end.
-    """
+def _validate(faces, target, sources) -> AxiomReport:
+    """The base-axiom report, from inputs read in the order given and sorted
+    at the end.  Every report comes from here; ``_indexed`` only says yes or no."""
     bad: list[Violation] = []
     items = list(faces.items()) if isinstance(faces, Mapping) else [tuple(i) for i in faces]
 
-    dims: _Faces = _Faces()
+    dims: dict[str, int] = {}
     tgt: dict[str, str] = {}
     src: dict[str, frozenset[str]] = {}
     for entry in items:
@@ -193,51 +192,63 @@ def _validate(faces, target, sources):
     for x, d in dims.items():
         if d == 0:
             continue
-        has_t = x in tgt
-        has_s = x in src
         if x not in target:
             bad.append(Violation("MissingTarget", (x,), f"face {x} has no target"))
-        if x not in sources or (has_s and not src[x]):
+        if x not in sources or (x in src and not src[x]):
             bad.append(Violation("EmptySources", (x,), f"face {x} has no sources"))
-        if has_t and has_s and tgt[x] in src[x]:
+        if x in tgt and x in src and tgt[x] in src[x]:
             bad.append(Violation(
                 "SignClash", (tgt[x], x),
                 f"face {tgt[x]} is both the target and a source of {x}"))
-        if d == 1 and has_s and len(src[x]) > 1:
+        if d == 1 and len(src.get(x, ())) > 1:
             bad.append(Violation(
                 "Delta0NotFunctional", (x,),
                 f"dimension-1 face {x} has {len(src[x])} sources"))
 
-    return AxiomReport.of(bad), dims, tgt, src
+    return AxiomReport.of(bad)
 
 
-def _accepted(faces, target, sources):
-    """What ``_validate`` returns when every base axiom holds, else None:
-    a yes/no check in one pass per input, with no report."""
+def _indexed(faces, target, sources):
+    """(dims, target, sources, strata, pencils) of a complex on which every
+    base axiom holds, else None.  One pass over the faces in name order
+    decides each axiom yes or no and fills each stratum and pencil sorted;
+    it writes no report.  The maps are read with ``.get``, so a
+    ``defaultdict`` does not grow."""
     try:
         dims = _Faces(faces)
-        values = list(dims.values())
-        # an unknown or dimension-0 subject wants dimension -1, which nothing has
-        if (not dims or len(dims) < len(faces) or not all(map(_NAME_RE.fullmatch, dims))
-                or set(map(type, values)) != {int} or min(values) < 0
-                or any(dims.get(t, -2) != dims.get(x, 0) - 1 for x, t in target.items())):
-            return None
-        src = {}
-        for x, entries in sources.items():
-            count, below = len(entries), dims.get(x, 0) - 1
-            src[x] = seen = frozenset(entries)
-            if (below < 0 or len(seen) < count or target.get(x) in seen
-                    or (below == 0 and count > 1) or set(map(dims.get, seen)) != {below}):
+        strata = [[] for _ in range(max(dims.values()) + 1)]
+        above = {y: ([], []) for y in dims}
+        tgt, src = {}, {}
+        for x in sorted(dims):
+            d = dims[x]
+            if ((type(d) is not int and (type(d) is bool or not isinstance(d, int)))
+                    or d < 0 or not _NAME_RE.fullmatch(x)):
                 return None
-    except (AttributeError, TypeError, ValueError):  # malformed: _validate says how
+            strata[d].append(x)
+            if d:
+                tgt[x] = t = target.get(x)
+                src[x] = seen = frozenset(entries := sources.get(x))
+                # an unknown target, or none, has no dimension
+                if (dims.get(t) != d - 1 or t in seen or not seen or len(seen) < len(entries)
+                        or (d == 1 and len(seen) > 1)):
+                    return None
+                above[t][0].append(x)
+                for y in seen:
+                    if dims.get(y) != d - 1:
+                        return None
+                    above[y][1].append(x)
+    except (AttributeError, KeyError, TypeError, ValueError):  # malformed: _validate says how
         return None
-    complete = len(target) == len(src) == len(dims) - values.count(0)
-    return (AxiomReport(), dims, dict(target), src) if complete else None
+    # a duplicate face, or covers for a face not of dimension >= 1
+    if len(dims) < len(faces) or not len(target) == len(sources) == len(tgt):
+        return None
+    return (dims, tgt, src, {k: tuple(names) for k, names in enumerate(strata)},
+            _Faces((y, (tuple(t), tuple(s))) for y, (t, s) in above.items()))
 
 
 def validate_complex_data(faces, target, sources) -> AxiomReport:
     """Run the base-axiom validation without constructing a complex."""
-    return _validate(faces, target, sources)[0]
+    return _validate(faces, target, sources)
 
 
 class FaceComplex:
@@ -246,8 +257,8 @@ class FaceComplex:
     ``faces`` maps names to dimensions (or is an iterable of pairs),
     ``target`` maps each dim >= 1 face to its target and ``sources`` to its
     nonempty source set.  Raises :class:`InvalidComplex` when any base
-    axiom fails; the exception carries the full report.  A one-pass check
-    accepts valid input; only on a no does ``_validate`` write the report.
+    axiom fails; the exception carries the full report.  One pass accepts
+    valid input and indexes it; ``_validate`` only explains a rejection.
     """
 
     __slots__ = ("_dims", "_strata", "_target", "_sources", "_pencils")
@@ -255,24 +266,12 @@ class FaceComplex:
     def __init__(self, faces, target, sources):
         if not isinstance(faces, Mapping):
             faces = list(faces)  # read again on a no
-        report, dims, tgt, src = _accepted(faces, target, sources) or _validate(faces, target, sources)
-        if not report.passed:
+        if (built := _indexed(faces, target, sources)) is None:
+            report = _validate(faces, target, sources)
+            if report.passed:
+                raise InternalInvariantBroken("the one-pass check rejects a complex _validate passes")
             raise InvalidComplex(report)
-        # One pass in name order: each stratum comes out sorted, and so do
-        # the two pencils of each face.
-        strata: list[list[str]] = [[] for _ in range(max(dims.values()) + 1)]
-        above: dict[str, tuple[list[str], list[str]]] = {x: ([], []) for x in dims}
-        for x in sorted(dims):
-            strata[dims[x]].append(x)
-            if x in tgt:
-                above[tgt[x]][0].append(x)
-                for y in src[x]:
-                    above[y][1].append(x)
-        self._dims = dims
-        self._target = tgt
-        self._sources = src
-        self._strata = {k: tuple(names) for k, names in enumerate(strata)}
-        self._pencils = _Faces((y, (tuple(t), tuple(s))) for y, (t, s) in above.items())
+        self._dims, self._target, self._sources, self._strata, self._pencils = built
 
     # -- basic queries -------------------------------------------------
 

@@ -360,6 +360,22 @@ def test_stdin_requires_format(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
 
 
+class _UnreadableStdin:
+    def read(self, *args):
+        raise AssertionError("stdin read before the missing --format was rejected")
+
+
+def test_stdin_without_format_is_rejected_before_reading(two2_dsl, capsys, monkeypatch, tmp_path):
+    """An interactive ``-`` without ``--format`` exits 2 at once instead of
+    waiting for the end of input."""
+    mapping = tmp_path / "map.txt"
+    mapping.write_text("".join(f"{x} => {x}\n" for x in two_cell(2).faces()))
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    assert main(["validate", "-"]) == 2
+    assert main(["morphism", "--from", "-", "--to", two2_dsl, "--map", str(mapping)]) == 2
+    assert capsys.readouterr().err.count("requires --format") == 2
+
+
 BOM_FILES = {
     "arrow.dsl": "face x : 0\nface y : 0\nface f : 1\ntgt f -> y\nsrc f <- x\n",
     "bad.dsl": " face x 0\n",

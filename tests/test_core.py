@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import types
+from collections import defaultdict
 
 import pytest
 
@@ -9,6 +10,7 @@ import opetope_kit
 from opetope_kit import (
     AxiomReport,
     FaceComplex,
+    InternalInvariantBroken,
     InvalidComplex,
     Morphism,
     UnknownFaceReference,
@@ -417,30 +419,40 @@ def test_base_reports_are_pinned(small_pops):
     assert digest.hexdigest() == BASE_REPORTS_SHA256
 
 
-def _built_shape(complex_):
-    return (complex_.to_data(), [complex_.stratum(k) for k in range(complex_.dimension + 1)],
-            {y: complex_.pencils(y) for y in complex_.faces()})
-
-
-def test_bulk_check_agrees_with_validate(small_pops, monkeypatch):
-    """The constructor's one-pass check says yes exactly when ``_validate``
-    passes; a no raises ``InvalidComplex`` with ``_validate``'s report, and a
-    yes builds what a build through ``_validate`` alone builds."""
+def test_bulk_check_agrees_with_validate(small_pops):
+    """The constructor's one pass says yes exactly when ``_validate`` passes,
+    and a no raises ``InvalidComplex`` with ``_validate``'s report."""
     inputs = list(_base_report_inputs(small_pops))
-    built = {}
-    for number, (faces, target, sources) in enumerate(inputs):
+    passed = 0
+    for faces, target, sources in inputs:
         report = validate_complex_data(faces, target, sources)
-        assert (core._accepted(faces, target, sources) is not None) == report.passed
+        assert (core._indexed(faces, target, sources) is not None) == report.passed
         if report.passed:
-            built[number] = _built_shape(FaceComplex(faces, target, sources))
-        else:
-            with pytest.raises(InvalidComplex) as err:
-                FaceComplex(faces, target, sources)
-            assert err.value.report == report
-    monkeypatch.setattr(core, "_accepted", lambda faces, target, sources: None)
-    for number, shape in built.items():
-        assert _built_shape(FaceComplex(*inputs[number])) == shape
-    assert 200 < len(built) < len(inputs) - 200
+            passed += 1
+            continue
+        with pytest.raises(InvalidComplex) as err:
+            FaceComplex(faces, target, sources)
+        assert err.value.report == report
+    assert 200 < passed < len(inputs) - 200
+
+
+def test_a_no_on_a_passing_input_is_a_broken_invariant(two2, monkeypatch):
+    """If the one pass rejects what ``_validate`` passes, the constructor
+    raises ``InternalInvariantBroken``, not an ``InvalidComplex`` whose
+    report passes."""
+    monkeypatch.setattr(core, "_indexed", lambda faces, target, sources: None)
+    with pytest.raises(InternalInvariantBroken):
+        FaceComplex(*two2.to_data())
+
+
+def test_the_one_pass_does_not_grow_a_defaultdict(two2):
+    dims, target, sources = two2.to_data()
+    del target["alpha"]
+    target, sources = defaultdict(str, target), defaultdict(list, sources)
+    with pytest.raises(InvalidComplex) as err:
+        FaceComplex(dims, target, sources)
+    assert err.value.report.failed_axioms() == ("MissingTarget",)
+    assert "alpha" not in target and len(sources) == len(dims) - len(two2.stratum(0))
 
 
 PUBLIC_NAMES = [
