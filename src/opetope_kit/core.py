@@ -21,7 +21,7 @@ rejection.  Instances are immutable and safe to share between threads.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Mapping, Sized
 from dataclasses import dataclass
 from itertools import chain
 
@@ -170,6 +170,10 @@ def _validate(faces, target, sources) -> AxiomReport:
         if dims[x] == 0:
             bad.append(Violation("GradingViolation", (x,), f"sources declared for dimension-0 face {x}"))
             continue
+        if not isinstance(entries, Sized):  # a source set has a size; a one-shot iterable has none
+            bad.append(Violation(
+                "EmptySources", (x,), f"sources of {x} are not a collection: {type(entries).__name__}"))
+            continue
         seen: set[str] = set()
         ok = True
         for y in entries:
@@ -216,20 +220,22 @@ def _indexed(faces, target, sources):
     ``defaultdict`` does not grow."""
     try:
         dims = _Faces(faces)
-        strata = [[] for _ in range(max(dims.values()) + 1)]
+        if (top := max(dims.values())) >= len(dims):  # grading fills every stratum up to the top
+            return None
+        strata = [[] for _ in range(top + 1)]
         above = {y: ([], []) for y in dims}
         tgt, src = {}, {}
         for x in sorted(dims):
             d = dims[x]
-            if ((type(d) is not int and (type(d) is bool or not isinstance(d, int)))
-                    or d < 0 or not _NAME_RE.fullmatch(x)):
+            if not isinstance(d, int) or isinstance(d, bool) or d < 0 or not _NAME_RE.fullmatch(x):
                 return None
             strata[d].append(x)
             if d:
                 tgt[x] = t = target.get(x)
-                src[x] = seen = frozenset(entries := sources.get(x))
+                count = len(entries := sources.get(x))  # before a one-shot iterable is used up
+                src[x] = seen = frozenset(entries)
                 # an unknown target, or none, has no dimension
-                if (dims.get(t) != d - 1 or t in seen or not seen or len(seen) < len(entries)
+                if (dims.get(t) != d - 1 or t in seen or not seen or len(seen) < count
                         or (d == 1 and len(seen) > 1)):
                     return None
                 above[t][0].append(x)

@@ -79,6 +79,19 @@ def test_validate_base_failure(tmp_path, capsys):
     assert "base: fail" in out
 
 
+@pytest.mark.parametrize("name, text, axioms", [
+    ("huge.dsl", "face x : 1000000\n", ["EmptySources", "MissingTarget"]),
+    ("huge.json", '{"faces": {"y": 0, "x": 1000000}, "target": {"x": "y"},'
+                  ' "sources": {"x": ["y"]}}', ["GradingViolation"] * 2),
+])
+def test_validate_huge_dimension_is_a_base_failure(tmp_path, capsys, name, text, axioms):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["validate", str(path), "--json"]) == 1
+    base = json.loads(capsys.readouterr().out)["checks"]["base"]
+    assert [v["axiom"] for v in base["violations"]] == axioms
+
+
 def test_validate_modes_pop_cardinal(two2_dsl, capsys):
     assert main(["validate", two2_dsl, "--mode", "pop"]) == 0
     assert main(["validate", two2_dsl, "--mode", "phg"]) == 0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 import types
 from collections import defaultdict
 
@@ -453,6 +454,37 @@ def test_the_one_pass_does_not_grow_a_defaultdict(two2):
         FaceComplex(dims, target, sources)
     assert err.value.report.failed_axioms() == ("MissingTarget",)
     assert "alpha" not in target and len(sources) == len(dims) - len(two2.stratum(0))
+
+
+def test_a_huge_dimension_is_rejected_before_any_stratum_is_made():
+    """Grading gives a valid complex a face in every dimension up to its
+    top, so the one pass says no to a top at or above the face count before
+    it makes a stratum per dimension; the report is ``_validate``'s."""
+    faces = {"x": 0, "f": 10 ** 6}
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidComplex) as err:
+            FaceComplex(faces, {}, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert err.value.report == validate_complex_data(faces, {}, {})
+    assert err.value.report.failed_axioms() == ("EmptySources", "MissingTarget")
+
+
+def test_a_source_iterable_without_a_size_is_reported_unread():
+    """A source collection must have a size.  A generator is reported as
+    one violation, and neither the one pass nor ``_validate`` reads it."""
+    gen = (y for y in ["x"])
+    faces, target, sources = {"x": 0, "y": 0, "f": 1}, {"f": "y"}, {"f": gen}
+    with pytest.raises(InvalidComplex) as err:
+        FaceComplex(faces, target, sources)
+    assert err.value.report.to_dict()["violations"] == [{
+        "axiom": "EmptySources", "witnesses": ["f"],
+        "detail": "sources of f are not a collection: generator"}]
+    assert validate_complex_data(faces, target, {"f": 5}).failed_axioms() == ("EmptySources",)
+    assert list(gen) == ["x"]
 
 
 PUBLIC_NAMES = [
