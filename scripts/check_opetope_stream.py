@@ -13,9 +13,10 @@ that census must get the same verdict from ``is_dfc`` and
 of every pruned stream below must pass ``is_dfc``.  Both share the
 prefix deduplication, so ``enumerate_pops`` must also stream the same
 canonical forms, in the same order, as ``naive_enumerate_pops`` at
-(3, 7).  At (3, 11) and (4, 11) the pruned search's stream must have its
-pinned SHA-256 (one canonical-form repr per line, the format of
-``tests/test_enumeration.py``), and its count of opetopes at each
+(3, 7).  At (3, 11), (4, 11), (3, 13) and (5, 13), the last two at the
+default work limit, the pruned search's stream must have its pinned
+SHA-256 (one canonical-form repr per line, the format of
+``tests/test_enumeration.py``) and length, and its count of opetopes at each
 dimension <= 3 and face count must equal the tree-count oracle of
 ``tests/helpers.py``, which builds no complex.  Each run prints its time,
 the certificates it computed (one per candidate stratum that passes the
@@ -28,7 +29,7 @@ profiles visited and assignments tried that the work limit counts
 (labelled assignments for the naive recount); the census line also
 gives the classes checked by both suites and how many pass both.  Exits
 1 on any mismatch or disagreement.
-Takes under a minute on one core:
+Takes about a minute on one core:
 
     python3 scripts/check_opetope_stream.py
 """
@@ -58,10 +59,13 @@ from helpers import tree_opetope_count  # noqa: E402
 BUDGETS = ((3, 9), (4, 9))
 NAIVE_BUDGET = (3, 7)
 # SHA-256 and length of the pruned streams, first computed when every
-# candidate was still built before it was checked.
+# candidate was still built before it was checked (the 13-face ones with
+# the work limit raised, before the search dropped one-face failures).
 PINNED = {
     (3, 11): ("a713a62c63c12831343825fbd8722e14a33dfa7e82c24d19662e33f26f93417a", 14),
     (4, 11): ("a6c31a0bbf3b68b010c438ee0aaf3c5b5db36e62bac42ad658c9ce80b3c3dbdb", 18),
+    (3, 13): ("31b05b7821661b833ed08c1cc2b76a4073d444de0837f7f6fc4421bc01ba45c9", 29),
+    (5, 13): ("eed1015f468386a199624fd46849dca78e6009425cf97a40d724007197904e51", 48),
 }
 
 built = ticks = certificates = 0

@@ -116,6 +116,14 @@ class _Faces(dict):
         raise UnknownFaceReference(f"unknown face {name!r}")
 
 
+def _known(name, dims) -> bool:
+    """Whether ``name`` is a face of ``dims``; an unhashable value is none."""
+    try:
+        return name in dims
+    except TypeError:
+        return False
+
+
 def _validate(faces, target, sources) -> AxiomReport:
     """The base-axiom report, from inputs read in the order given and sorted
     at the end.  Every report comes from here; ``_indexed`` only says yes or no."""
@@ -152,7 +160,7 @@ def _validate(faces, target, sources) -> AxiomReport:
         if dims[x] == 0:
             bad.append(Violation("GradingViolation", (x,), f"target declared for dimension-0 face {x}"))
             continue
-        if t not in dims:
+        if not _known(t, dims):
             bad.append(Violation("UnknownFaceReference", (x,), f"target of {x} is unknown face {t!r}"))
             continue
         if dims[t] != dims[x] - 1:
@@ -177,7 +185,7 @@ def _validate(faces, target, sources) -> AxiomReport:
         seen: set[str] = set()
         ok = True
         for y in entries:
-            if y not in dims:
+            if not _known(y, dims):
                 bad.append(Violation("UnknownFaceReference", (x,), f"source of {x} is unknown face {y!r}"))
                 ok = False
             elif y in seen:

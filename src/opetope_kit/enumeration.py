@@ -24,6 +24,11 @@ on a :class:`zpo.Level` built from the parent and the assignment, and
 canonicalises only the candidates that pass; it numbers a parent only
 once one of its candidates passes.  The minus order one stratum down
 reads the parent alone and is closed once for all of its extensions.
+Once per parent, the search first drops each (target, sources) option of
+a face of dimension >= 2 that fails on its own (``zpo.face_violations``),
+as every assignment holding it would fail: globularity reads only the
+face and the parent, and a source minus-comparable with the target stays
+so, as faces beside it only add plus steps.
 
 The opetope search also skips every stratum-size profile ``(n_0, ..., n_d)``
 unless ``n_d == 1`` and the Euler characteristic ``n_0 - n_1 + n_2 - ...``
@@ -46,7 +51,11 @@ has no cofaces, so the swap is an automorphism of the parent and maps each
 extension to an isomorphic one.  The least multiset of an orbit is never
 skipped, as every swap maps it into its orbit; canonical forms deduplicate
 what is left.  This is a partial form of McKay's isomorph rejection.  The
-full enumeration passes the walk no swaps, so it tries every multiset.
+swaps, being automorphisms, permute the options the face filter keeps.
+The walk carries each swap's sorted image of the prefix and inserts the
+image of each new index, so it tests a step without sorting the whole
+prefix again.  The full enumeration passes the walk no swaps, so it
+tries every multiset.
 
 A second, deliberately naive generator walks the full labelled assignment
 space and keeps whatever survives the base validator.  It exists so that
@@ -58,6 +67,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -66,7 +76,7 @@ from .errors import BudgetTooLarge
 from .iso import (Certificate, _Index, _least, canonical_face_name, canonical_form,
                   complex_from_certificate)
 from .relations import closed_minus
-from .zpo import Level, is_positive_opetope, level_violations
+from .zpo import Level, face_violations, is_positive_opetope, level_violations
 
 WORK_LIMIT_ENV = "OPETOPE_KIT_WORK_LIMIT"
 DEFAULT_WORK_LIMIT = 2_000_000
@@ -107,13 +117,15 @@ class _WorkMeter:
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
-        self.where = ""
+        self.where: tuple[tuple[int, ...], Optional[int]] = ((), None)  # (profile, stratum)
 
     def tick(self) -> None:
         self.used += 1
         if self.used > self.limit:
+            profile, k = self.where
+            at = f"profile {profile}" + ("" if k is None else f", stratum {k}")
             raise BudgetTooLarge(
-                f"enumeration exceeded the work limit of {self.limit} at {self.where} "
+                f"enumeration exceeded the work limit of {self.limit} at {at} "
                 f"(profiles visited and assignments tried: candidate strata "
                 f"canonicalised, and those the opetope search rejects before "
                 f"canonicalising; labelled assignments in the naive recount); "
@@ -189,18 +201,34 @@ def _twin_swaps(parent: FaceComplex, top: tuple[str, ...], options) -> list[list
     return swaps
 
 
-def _least_multisets(options, n: int, swaps, prefix=()) -> Iterator[list]:
+def _swap_images(swaps, images, combo: list[int]) -> Optional[list[list[int]]]:
+    """Each swap's sorted image of ``combo``, grown from ``images``, its
+    image of ``combo[:-1]`` (empty at the root), by the image of the last
+    index; None once a swap sorts ``combo`` lower."""
+    grown = []
+    for swap, image in zip(swaps, images or [[]] * len(swaps)):
+        image = image.copy()
+        insort(image, swap[combo[-1]])
+        if image < combo:
+            return None
+        grown.append(image)
+    return grown
+
+
+def _least_multisets(options, n: int, swaps, prefix=(), images=None) -> Iterator[list]:
     """The ``n``-multisets of ``options``, in order, that no swap lowers, as
     sorted lists of option indices compare.  A prefix that a swap lowers has
-    only such extensions, so it is cut; with no swaps every multiset comes."""
+    only such extensions, so it is cut; with no swaps every multiset comes.
+    ``images`` holds each swap's sorted image of the prefix."""
     for i in range(prefix[-1] if prefix else 0, len(options)):
         combo = [*prefix, i]
-        if swaps and any(sorted([swap[j] for j in combo]) < combo for swap in swaps):
+        grown = swaps and _swap_images(swaps, images, combo)
+        if grown is None:
             continue
         if len(combo) == n:
             yield [options[j] for j in combo]
         else:
-            yield from _least_multisets(options, n, swaps, combo)
+            yield from _least_multisets(options, n, swaps, combo, grown)
 
 
 def _classes(budget: EnumerationBudget, meter: _WorkMeter,
@@ -214,8 +242,9 @@ def _classes(budget: EnumerationBudget, meter: _WorkMeter,
     """
     path: list[dict[Certificate, FaceComplex]] = []
     last: tuple[int, ...] = ()
+    option_lists: dict[tuple[int, int], list] = {}  # by (faces below, k)
     for profile in _profiles(budget, meter.limit):
-        meter.where = f"profile {profile}"
+        meter.where = (profile, None)
         meter.tick()
         # One top face and Euler characteristic 1: see the module docstring.
         if opetopes_only and (profile[-1] != 1
@@ -225,21 +254,28 @@ def _classes(budget: EnumerationBudget, meter: _WorkMeter,
             path.pop()
         last, names = profile, _stratum_names(profile)
         for k in range(len(path), len(profile)):
-            meter.where = f"profile {profile}, stratum {k}"
+            meter.where = (profile, k)
             if k == 0:
                 meter.tick()
                 cert = _least(_Index().extend(names[0], ()))[0]
                 path.append({cert: complex_from_certificate(cert)})
                 continue
-            options, classes = _options(names[k - 1], k), {}
+            if (options := option_lists.get((profile[k - 1], k))) is None:
+                options = option_lists[profile[k - 1], k] = _options(names[k - 1], k)
+            classes = {}
             for parent in path[-1].values():
-                swaps = _twin_swaps(parent, names[k - 1], options) if opetopes_only else []
-                minus = closed_minus(parent, k - 1) if opetopes_only else None
+                kept, swaps, minus = options, [], None
+                if opetopes_only:
+                    minus = closed_minus(parent, k - 1)
+                    if k > 1:  # both one-face axioms are vacuous on arrows
+                        kept = [option for option in options if not any(
+                            face_violations(k, parent, names[k][0], option, minus))]
+                    swaps = _twin_swaps(parent, names[k - 1], kept)
                 index = None
-                for combo in _least_multisets(options, profile[k], swaps):
+                for combo in _least_multisets(kept, profile[k], swaps):
                     meter.tick()
-                    if opetopes_only and next(level_violations(
-                            Level(k, parent, names[k], combo, minus)), None) is not None:
+                    if opetopes_only and any(level_violations(
+                            Level(k, parent, names[k], combo, minus))):
                         continue
                     if index is None:
                         index = _Index(parent)
@@ -300,7 +336,7 @@ def naive_enumerate_pops(budget: EnumerationBudget,
     meter = _WorkMeter(resolve_work_limit(work_limit))
     certs = set()
     for profile in _profiles(budget, meter.limit):
-        meter.where = f"profile {profile}"
+        meter.where = (profile, None)
         meter.tick()
         names = _stratum_names(profile)
         faces = {name: k for k, stratum in enumerate(names) for name in stratum}

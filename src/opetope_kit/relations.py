@@ -43,7 +43,7 @@ class ClosedRelation:
     ``faces[i]`` lies strictly below ``faces[j]``.
     """
 
-    __slots__ = ("faces", "index", "masks", "steps")
+    __slots__ = ("faces", "index", "masks", "steps", "_comparable")
 
     def __init__(self, faces: tuple[str, ...], index: dict[str, int],
                  steps: list[list[int]]):
@@ -51,15 +51,18 @@ class ClosedRelation:
         self.index = index
         self.masks = _reach(steps)
         self.steps = steps
+        self._comparable: list[int] | None = None
 
     def comparable_masks(self) -> list[int]:
         """For each position, the positions comparable with it in either
-        direction; the reverse direction is walked on each call."""
-        pred: list[list[int]] = [[] for _ in self.faces]
-        for u, vs in enumerate(self.steps):
-            for v in vs:
-                pred[v].append(u)
-        return [up | down for up, down in zip(self.masks, _reach(pred))]
+        direction; the reverse direction is walked on the first call only."""
+        if self._comparable is None:
+            pred: list[list[int]] = [[] for _ in self.faces]
+            for u, vs in enumerate(self.steps):
+                for v in vs:
+                    pred[v].append(u)
+            self._comparable = [up | down for up, down in zip(self.masks, _reach(pred))]
+        return self._comparable
 
 
 def _reach(succ: list[list[int]]) -> list[int]:

@@ -14,18 +14,29 @@ checks build each record from the complex (:func:`settled_violations`).
 The opetope search builds it from a parent stage and a candidate
 assignment of the stratum above, so every axiom that the new stratum
 settles is decided before the candidate is canonicalised or built, and
-only the candidates that pass are canonicalised.
+only the candidates that pass are canonicalised.  Before that it drops,
+once per parent, each (target, sources) option that fails on its own
+(:func:`face_violations`): globularity reads only the face and the
+parent, and a source minus-comparable with the target stays so however
+many faces add plus steps beside it.
+
+Each axiom generator yields, for each violation, a callable that takes no
+argument and builds the :class:`Violation`, with the loop's values bound
+when it is yielded.  The report paths call it; the search only asks
+whether there is one, so it never formats a message or finds a cycle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import AxiomReport, FaceComplex, Violation
 from .relations import ClosedRelation, boundary_sets, closed_minus, plus_order
 
 _AXIOMS = ("globularity", "strictness", "disjointness", "pencil-linearity",
            "principality")
+
+Deferred = Iterator[Callable[[], Violation]]
 
 
 def _fmt(names) -> str:
@@ -71,7 +82,7 @@ class Level:
         return self._minus
 
 
-def _globularity(level: Level) -> Iterator[Violation]:
+def _globularity(level: Level) -> Deferred:
     if level.k < 2:
         return
     below = level.below
@@ -80,15 +91,15 @@ def _globularity(level: Level) -> Iterator[Violation]:
         gg = {below.gamma(t)}
         dg = below.delta(t)
         if gg != gd - dd:
-            yield Violation(
+            yield lambda x=x, gg=gg, left=gd - dd: Violation(
                 "globularity", (x,),
                 f"target-of-target of {x} is {_fmt(gg)} but source-targets minus "
-                f"source-sources is {_fmt(gd - dd)}")
+                f"source-sources is {_fmt(left)}")
         if dg != dd - gd:
-            yield Violation(
+            yield lambda x=x, dg=dg, left=dd - gd: Violation(
                 "globularity", (x,),
                 f"sources-of-target of {x} are {_fmt(dg)} but source-sources minus "
-                f"source-targets is {_fmt(dd - gd)}")
+                f"source-targets is {_fmt(left)}")
 
 
 def _find_cycle(plus: ClosedRelation, start: int) -> tuple[str, ...]:
@@ -112,25 +123,27 @@ def _find_cycle(plus: ClosedRelation, start: int) -> tuple[str, ...]:
         frontier = nxt
 
 
-def _strictness(level: Level) -> Iterator[Violation]:
+def _plus_cycle(plus: ClosedRelation, start: int, k: int) -> Violation:
+    cycle = _find_cycle(plus, start)
+    return Violation("strictness", cycle,
+                     f"plus-cycle in dimension {k}: {' -> '.join(cycle + (cycle[0],))}")
+
+
+def _strictness(level: Level) -> Deferred:
     plus, k = level.plus, level.k - 1
     loops = [i for i, mask in enumerate(plus.masks) if mask >> i & 1]
     if loops:
-        cycle = _find_cycle(plus, loops[0])
-        yield Violation(
-            "strictness", cycle,
-            f"plus-cycle in dimension {k}: {' -> '.join(cycle + (cycle[0],))}")
+        yield lambda: _plus_cycle(plus, loops[0], k)
     if k > 0:
         return
     faces = plus.faces
     for i, j in _incomparable(plus, range(len(faces))):
-        x, y = faces[i], faces[j]
-        yield Violation(
+        yield lambda x=faces[i], y=faces[j]: Violation(
             "strictness", (x, y),
             f"dimension-0 faces {x} and {y} are not plus-comparable")
 
 
-def _disjointness(level: Level) -> Iterator[Violation]:
+def _disjointness(level: Level) -> Deferred:
     plus = level.plus
     if level.k < 2 or not any(plus.masks):
         return
@@ -150,8 +163,7 @@ def _disjointness(level: Level) -> Iterator[Violation]:
             both ^= low
     faces = plus.faces
     for i, j in sorted(set(pairs)):
-        x, y = faces[i], faces[j]
-        yield Violation(
+        yield lambda x=faces[i], y=faces[j]: Violation(
             "disjointness", (x, y),
             f"faces {x} and {y} are comparable in both orders")
 
@@ -181,7 +193,7 @@ def _incomparable(plus: ClosedRelation, members: Iterable[int]) -> list[tuple[in
     return pairs
 
 
-def _pencil_linearity(level: Level) -> Iterator[Violation]:
+def _pencil_linearity(level: Level) -> Deferred:
     plus, below = level.plus, level.below
     faces, index = plus.faces, plus.index
     for y in below.stratum(level.k - 2):
@@ -189,34 +201,45 @@ def _pencil_linearity(level: Level) -> Iterator[Violation]:
             if len(pencil) < 2:
                 continue
             for i, j in _incomparable(plus, [index[x] for x in pencil]):
-                x, x2 = faces[i], faces[j]
-                yield Violation(
+                yield lambda y=y, label=label, x=faces[i], x2=faces[j]: Violation(
                     "pencil-linearity", (y, x, x2),
                     f"{label} pencil over {y}: {x} and {x2} are "
                     f"not plus-comparable")
 
 
-def _principality(level: Level) -> Iterator[Violation]:
+def _principality(level: Level) -> Deferred:
     used: set[str] = set()
     for _, sources in level.covers:
         used |= sources
     left = [y for y in level.faces if y not in used]
     if len(left) != 1:
-        yield Violation(
+        yield lambda: Violation(
             "principality", tuple(left),
             f"stratum {level.k - 1} has {len(left)} non-source faces {_fmt(left)}, "
             f"expected 1")
 
 
-def level_violations(level: Level) -> Iterator[Violation]:
-    """The violations that ``level`` settles, cheapest axiom first: a
-    pruner that stops at the first one builds a closure only after
-    principality passes."""
+def level_violations(level: Level) -> Deferred:
+    """The violations that ``level`` settles, each as a callable that
+    builds it, cheapest axiom first: a pruner that stops at the first one
+    builds a closure only after principality passes."""
     yield from _principality(level)
     yield from _strictness(level)
     yield from _disjointness(level)
     yield from _pencil_linearity(level)
     yield from _globularity(level)
+
+
+def face_violations(k: int, parent: FaceComplex, name: str, option,
+                    minus: ClosedRelation) -> Deferred:
+    """The violations that the face ``name`` of stratum ``k`` >= 2, with
+    the (target, sources) ``option`` over ``parent``, settles whatever faces
+    sit beside it: its globularity, and a source minus-comparable with its
+    target, as faces beside it only add plus steps.  ``minus`` is the minus
+    order of stratum ``k - 1`` of ``parent``."""
+    level = Level(k, parent, (name,), [option], minus)
+    yield from _globularity(level)
+    yield from _disjointness(level)
 
 
 def settled_violations(complex_: FaceComplex, k: int) -> Iterator[Violation]:
@@ -228,12 +251,13 @@ def settled_violations(complex_: FaceComplex, k: int) -> Iterator[Violation]:
     strata ``0..k`` as on any complex stacked on it, and the enumerator
     prunes on them, on a :class:`Level` built before any stage is.
     """
-    return level_violations(Level.of(complex_, k))
+    return (make() for make in level_violations(Level.of(complex_, k)))
 
 
 def _at_each_level(complex_: FaceComplex, axiom) -> Iterator[Violation]:
     for k in range(1, complex_.dimension + 2):
-        yield from axiom(Level.of(complex_, k))
+        for make in axiom(Level.of(complex_, k)):
+            yield make()
 
 
 def check_globularity(complex_: FaceComplex) -> AxiomReport:

@@ -487,6 +487,17 @@ def test_a_source_iterable_without_a_size_is_reported_unread():
     assert list(gen) == ["x"]
 
 
+def test_an_unhashable_target_or_source_is_an_unknown_face():
+    """A target or a source entry that cannot be a face name, such as a
+    list, is reported as an unknown face reference, not raised."""
+    for target, sources, detail in (
+            ({"f": ["y"]}, {"f": ["x"]}, "target of f is unknown face ['y']"),
+            ({"f": "y"}, {"f": [["x"]]}, "source of f is unknown face ['x']")):
+        report = build_complex({"x": 0, "y": 0, "f": 1}, target, sources)
+        assert report.to_dict()["violations"] == [{
+            "axiom": "UnknownFaceReference", "witnesses": ["f"], "detail": detail}]
+
+
 PUBLIC_NAMES = [
     "AmbiguousCompletion", "AxiomReport", "BudgetTooLarge", "ClosedRelation",
     "ComplexDocument", "DimensionOutOfRange", "DimensionTooHigh", "DimensionTooLow",

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter, defaultdict
 from itertools import combinations_with_replacement
 
@@ -58,6 +59,29 @@ def test_multiset_walk_without_swaps_is_every_multiset(options, n):
     ``n``-multiset of the options, in lexicographic order."""
     assert list(_least_multisets(options, n, [])) == \
         [list(combo) for combo in combinations_with_replacement(options, n)]
+
+
+def _random_involution(rng, size):
+    image, free = list(range(size)), list(range(size))
+    rng.shuffle(free)
+    for _ in range(rng.randrange(size // 2 + 1)):
+        a, b = free.pop(), free.pop()
+        image[a], image[b] = b, a
+    return image
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_multiset_walk_with_swaps_keeps_the_multisets_no_swap_lowers(seed):
+    """The walk, which cuts each prefix a swap lowers and grows each swap's
+    sorted image of the prefix by one index a step, yields exactly the
+    multisets whose whole image no swap sorts below them, in order."""
+    rng = random.Random(seed)
+    for size in range(13):
+        swaps = [_random_involution(rng, size) for _ in range(rng.randrange(4))]
+        for n in range(1, 5):
+            expected = [list(c) for c in combinations_with_replacement(range(size), n)
+                        if not any(sorted(swap[j] for j in c) < list(c) for swap in swaps)]
+            assert list(_least_multisets(list(range(size)), n, swaps)) == expected
 
 
 def test_dim0_enumeration():
@@ -153,14 +177,15 @@ def test_work_limit_counts_assignments_tried():
     """The opetope search ticks once per profile visited and once per
     assignment tried, whether or not a settled axiom rules the stage out
     before it is built; the twin rule's skipped multisets are never formed,
-    so they are not tried.  At (3, 8) the smallest limit is the 162
-    stratum-size profiles plus 49 assignments tried, at (4, 9) the 381
-    profiles plus 534 assignments; the walk runs out at its last profile.
+    and no assignment holds an option that fails on its own, so they are
+    not tried.  At (3, 8) the smallest limit is the 162 stratum-size
+    profiles plus 31 assignments tried, at (4, 9) the 381 profiles plus 243
+    assignments; the walk runs out at its last profile.
     The naive recount at (1, 3) visits 6 profiles and tries 9 labelled
     assignments."""
     for budget, smallest, opetopes, stop in (
-            ((3, 8), 211, 5, r"work limit of 210 at profile \(8,\) \("),
-            ((4, 9), 915, 9, r"work limit of 914 at profile \(9,\) \(")):
+            ((3, 8), 193, 5, r"work limit of 192 at profile \(8,\) \("),
+            ((4, 9), 624, 9, r"work limit of 623 at profile \(9,\) \(")):
         budget = EnumerationBudget(*budget)
         assert len(list(enumerate_positive_opetopes(budget, work_limit=smallest))) == opetopes
         with pytest.raises(BudgetTooLarge, match=stop):
@@ -295,22 +320,36 @@ def test_each_kept_class_is_its_canonical_representative(monkeypatch, run, opeto
 
 
 def test_settled_axioms_are_decided_before_the_stage_is_built(monkeypatch):
-    """For every assignment the (4, 9) search tries, the first violation
+    """For every option the (4, 9) search drops before its multiset walk,
+    the checker finds each violation the filter reads on the one-face stage
+    stacked from it; for every assignment it tries, the first violation
     that the search reads from the parent and the assignment is the first
     one the checker finds on the stage built from them.  The search builds
     one complex per class of the stages where there is none, when it meets
-    the first of them.  Each of the five axioms rejects some assignment."""
-    tried, built = [], _recorded_builds(monkeypatch)
-    real = enumeration.level_violations
+    the first of them.  Each of the five axioms rejects some option or
+    assignment: every dropped option fails globularity, which the filter
+    reads first, and most of them disjointness too."""
+    tried, dropped, built = [], [], _recorded_builds(monkeypatch)
+    real, real_face = enumeration.level_violations, enumeration.face_violations
 
     def build_anyway(level):
         stage = stacked(level.below, level.names, level.covers)
-        tried.append((stage, next(real(level), None)))
+        make = next(real(level), None)
+        tried.append((stage, make and make()))
         return real(level)
 
+    def build_face_anyway(k, parent, name, option, minus):
+        made = [make() for make in real_face(k, parent, name, option, minus)]
+        if made:
+            dropped.append((stacked(parent, (name,), [option]), made))
+        return real_face(k, parent, name, option, minus)
+
     monkeypatch.setattr(enumeration, "level_violations", build_anyway)
+    monkeypatch.setattr(enumeration, "face_violations", build_face_anyway)
     list(enumerate_positive_opetopes(EnumerationBudget(4, 9)))
 
+    for stage, made in dropped:
+        assert set(made) <= set(settled_violations(stage, stage.dimension))
     for stage, violation in tried:
         assert violation == next(settled_violations(stage, stage.dimension), None)
     firsts = {}
@@ -319,9 +358,12 @@ def test_settled_axioms_are_decided_before_the_stage_is_built(monkeypatch):
             firsts.setdefault(canonical_form(stage), stage)
     assert [canonical_form(c) for c in built if c.dimension] == list(firsts)
     rejected = Counter(violation.axiom for _, violation in tried if violation is not None)
-    assert rejected == {"principality": 304, "strictness": 64, "disjointness": 96,
-                        "pencil-linearity": 9, "globularity": 3}
-    assert len(tried) == 530 and len(firsts) == 33
+    assert rejected == {"principality": 117, "strictness": 59, "pencil-linearity": 9}
+    assert Counter((stage.dimension, made[0].axiom) for stage, made in dropped) == \
+        {(2, "globularity"): 214, (3, "globularity"): 57}
+    assert Counter(axiom for _, made in dropped for axiom in {v.axiom for v in made}) == \
+        {"globularity": 271, "disjointness": 236}
+    assert len(tried) == 239 and len(firsts) == 33
 
 
 def _kept_per_parent(monkeypatch, budget):
@@ -348,11 +390,53 @@ def test_twin_rule_keeps_every_class_of_every_parent(monkeypatch):
     loses no class: at (4, 9) every parent keeps the same extension classes
     as when no two faces are twins, from fewer assignments tried."""
     budget = EnumerationBudget(4, 9)
-    kept, tried = _kept_per_parent(monkeypatch, budget)
-    monkeypatch.setattr(enumeration, "_twin_swaps", lambda parent, top, options: [])
-    unpruned, tried_unpruned = _kept_per_parent(monkeypatch, budget)
+    # each run in its own context, so the second does not wrap the first's recorder
+    with monkeypatch.context() as patch:
+        kept, tried = _kept_per_parent(patch, budget)
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_twin_swaps", lambda parent, top, options: [])
+        unpruned, tried_unpruned = _kept_per_parent(patch, budget)
     assert kept == unpruned and len(kept) > 1
-    assert tried < tried_unpruned == 2453
+    assert tried < tried_unpruned == 2076
+
+
+def _search_record(monkeypatch, budget):
+    """The opetope search's run at ``budget``: the assignments that pass
+    its settled axioms, by parent; the certificates it computes, in order;
+    the stages it builds; its stream; and the assignments it tries."""
+    passing, certificates, tried = defaultdict(set), [], Counter()
+    built = _recorded_builds(monkeypatch)
+    real, least = enumeration.level_violations, enumeration._least
+
+    def recording(level):
+        tried["assignments"] += 1
+        if not any(real(level)):
+            passing[level.below].add(tuple(level.covers))
+        return real(level)
+
+    def recording_least(index):
+        found = least(index)
+        certificates.append(found[0])
+        return found
+
+    monkeypatch.setattr(enumeration, "level_violations", recording)
+    monkeypatch.setattr(enumeration, "_least", recording_least)
+    stream = [canonical_form(c) for c in enumerate_positive_opetopes(EnumerationBudget(*budget))]
+    return (passing, certificates, [canonical_form(c) for c in built], stream), tried["assignments"]
+
+
+@pytest.mark.parametrize("budget", [(3, 9), (4, 9), (3, 11)])
+def test_face_filter_keeps_every_passing_assignment(monkeypatch, budget):
+    """Dropping the options that fail on their own before the multiset walk
+    loses nothing: the walk that keeps every option finds the same passing
+    assignments for each parent, and the same certificates, stages and
+    stream, from more assignments tried."""
+    with monkeypatch.context() as patch:
+        filtered, tried = _search_record(patch, budget)
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "face_violations", lambda *args: iter(()))
+        unfiltered, tried_unfiltered = _search_record(patch, budget)
+    assert filtered == unfiltered and tried < tried_unfiltered
 
 
 def _built_edits(cells):
