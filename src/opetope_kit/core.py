@@ -14,8 +14,10 @@ Construction is eager: a ``FaceComplex`` value existing means every base
 axiom holds (grading, one target and at least one source per face, no face
 that is both source and target of the same face, single-source faces in
 dimension 1).  Everything downstream relies on that guarantee.  One pass
-accepts valid input and indexes it; ``_validate`` only explains a
-rejection.  Instances are immutable and safe to share between threads.
+decides every base axiom: it indexes valid input and writes the report of
+a rejection, so ``FaceComplex``, ``build_complex`` and
+``validate_complex_data`` share it.  Instances are immutable and safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from itertools import chain
 from .errors import (
     DimensionOutOfRange,
     DimensionTooHigh,
-    InternalInvariantBroken,
     InvalidComplex,
     PreconditionViolation,
     UnknownFaceReference,
@@ -116,153 +117,121 @@ class _Faces(dict):
         raise UnknownFaceReference(f"unknown face {name!r}")
 
 
-def _known(name, dims) -> bool:
-    """Whether ``name`` is a face of ``dims``; an unhashable value is none."""
-    try:
-        return name in dims
-    except TypeError:
-        return False
+def _indexed(faces, target, sources):
+    """(dims, target, sources, strata, pencils) of a complex on which every
+    base axiom holds, else raises ``InvalidComplex`` with the full report.
 
-
-def _validate(faces, target, sources) -> AxiomReport:
-    """The base-axiom report, from inputs read in the order given and sorted
-    at the end.  Every report comes from here; ``_indexed`` only says yes or no."""
+    The faces are read once, in the order given, and visited in name order,
+    which fills each stratum and pencil sorted; each failed axiom appends a
+    ``Violation`` and the report is sorted at the end.  ``target`` and
+    ``sources`` are read with ``in`` before ``[]``, so a ``defaultdict``
+    does not grow."""
+    mappings = (dict, Mapping)  # a dict passes before the slower ABC check
+    if not isinstance(target, mappings) or not isinstance(sources, mappings):
+        raise TypeError("target and sources must be mappings")
     bad: list[Violation] = []
-    items = list(faces.items()) if isinstance(faces, Mapping) else [tuple(i) for i in faces]
-
-    dims: dict[str, int] = {}
-    tgt: dict[str, str] = {}
-    src: dict[str, frozenset[str]] = {}
-    for entry in items:
-        if len(entry) != 2:
-            bad.append(Violation("InvalidFaceName", (), f"malformed face entry {entry!r}"))
+    dims: dict[str, int] = {}  # an exact dict is faster to read than a _Faces
+    for entry in faces.items() if isinstance(faces, mappings) else faces:
+        try:
+            name, dim = entry
+        except ValueError:
+            bad.append(Violation("InvalidFaceName", (), f"malformed face entry {tuple(entry)!r}"))
             continue
-        name, dim = entry
-        if not is_valid_face_name(name):
+        if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
             bad.append(Violation("InvalidFaceName", (), f"bad face name {name!r}"))
-            continue
-        if name in dims:
+        elif name in dims:
             bad.append(Violation("DuplicateFace", (name,), f"face {name} declared twice"))
-            continue
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        elif not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             bad.append(Violation("InvalidDimension", (name,), f"face {name} has dimension {dim!r}"))
-            continue
-        dims[name] = dim
-
-    if not items:
+        else:
+            dims[name] = dim
+    if not dims and not bad:
         bad.append(Violation("EmptyComplex", (), "a complex must contain at least one face"))
 
-    for x in target:
-        t = target[x]
-        if x not in dims:
-            bad.append(Violation("UnknownFaceReference", (str(x),), f"target declared for unknown face {x!r}"))
+    strata = {d: [] for d in sorted(set(dims.values()))}
+    above = {y: ([], []) for y in dims}
+    tgt, src = {}, {}
+    for x in sorted(dims):
+        strata[d := dims[x]].append(x)
+        if not d:
             continue
-        if dims[x] == 0:
-            bad.append(Violation("GradingViolation", (x,), f"target declared for dimension-0 face {x}"))
-            continue
-        if not _known(t, dims):
+        if x not in target:
+            bad.append(Violation("MissingTarget", (x,), f"face {x} has no target"))
+        elif not isinstance(t := target[x], str) or t not in dims:
             bad.append(Violation("UnknownFaceReference", (x,), f"target of {x} is unknown face {t!r}"))
-            continue
-        if dims[t] != dims[x] - 1:
+        elif dims[t] != d - 1:
             bad.append(Violation(
-                "GradingViolation", (t, x),
-                f"target of {x} (dim {dims[x]}) is {t} of dim {dims[t]}"))
-            continue
-        tgt[x] = t
+                "GradingViolation", (t, x), f"target of {x} (dim {d}) is {t} of dim {dims[t]}"))
+        else:
+            tgt[x] = t
+            above[t][0].append(x)
 
-    for x in sources:
+        if x not in sources:
+            bad.append(Violation("EmptySources", (x,), f"face {x} has no sources"))
+            continue
         entries = sources[x]
-        if x not in dims:
-            bad.append(Violation("UnknownFaceReference", (str(x),), f"sources declared for unknown face {x!r}"))
-            continue
-        if dims[x] == 0:
-            bad.append(Violation("GradingViolation", (x,), f"sources declared for dimension-0 face {x}"))
-            continue
-        if not isinstance(entries, Sized):  # a source set has a size; a one-shot iterable has none
+        try:  # the size first: a one-shot iterable has none and is left unread
+            count, ys = len(entries), frozenset(entries)
+        except TypeError:  # no size, or an unhashable entry
+            count, ys = -1, ()
+        if len(ys) == count and not isinstance(entries, str):
+            for y in ys:
+                if dims.get(y) != d - 1:
+                    break
+                above[y][1].append(x)
+            else:
+                src[x] = ys
+                if not ys:
+                    bad.append(Violation("EmptySources", (x,), f"face {x} has no sources"))
+                if tgt.get(x) in ys:
+                    bad.append(Violation(
+                        "SignClash", (tgt[x], x), f"face {tgt[x]} is both the target and a source of {x}"))
+                if d == 1 and len(ys) > 1:
+                    bad.append(Violation(
+                        "Delta0NotFunctional", (x,), f"dimension-1 face {x} has {len(ys)} sources"))
+                continue
+        # the source set failed: name each bad entry
+        if isinstance(entries, str) or not isinstance(entries, Sized):
             bad.append(Violation(
                 "EmptySources", (x,), f"sources of {x} are not a collection: {type(entries).__name__}"))
             continue
         seen: set[str] = set()
-        ok = True
         for y in entries:
-            if not _known(y, dims):
+            if not isinstance(y, str) or y not in dims:
                 bad.append(Violation("UnknownFaceReference", (x,), f"source of {x} is unknown face {y!r}"))
-                ok = False
             elif y in seen:
                 bad.append(Violation("DuplicateSource", (y, x), f"face {y} listed twice among sources of {x}"))
-                ok = False
             else:
                 seen.add(y)
-                if dims[y] != dims[x] - 1:
+                if dims[y] != d - 1:
                     bad.append(Violation(
-                        "GradingViolation", (y, x),
-                        f"source {y} of {x} (dim {dims[x]}) has dim {dims[y]}"))
-                    ok = False
-        if ok:
-            src[x] = frozenset(seen)
+                        "GradingViolation", (y, x), f"source {y} of {x} (dim {d}) has dim {dims[y]}"))
 
-    for x, d in dims.items():
-        if d == 0:
-            continue
-        if x not in target:
-            bad.append(Violation("MissingTarget", (x,), f"face {x} has no target"))
-        if x not in sources or (x in src and not src[x]):
-            bad.append(Violation("EmptySources", (x,), f"face {x} has no sources"))
-        if x in tgt and x in src and tgt[x] in src[x]:
-            bad.append(Violation(
-                "SignClash", (tgt[x], x),
-                f"face {tgt[x]} is both the target and a source of {x}"))
-        if d == 1 and len(src.get(x, ())) > 1:
-            bad.append(Violation(
-                "Delta0NotFunctional", (x,),
-                f"dimension-1 face {x} has {len(src[x])} sources"))
-
-    return AxiomReport.of(bad)
-
-
-def _indexed(faces, target, sources):
-    """(dims, target, sources, strata, pencils) of a complex on which every
-    base axiom holds, else None.  One pass over the faces in name order
-    decides each axiom yes or no and fills each stratum and pencil sorted;
-    it writes no report.  The maps are read with ``.get``, so a
-    ``defaultdict`` does not grow."""
-    try:
-        dims = _Faces(faces)
-        if (top := max(dims.values())) >= len(dims):  # grading fills every stratum up to the top
-            return None
-        strata = [[] for _ in range(top + 1)]
-        above = {y: ([], []) for y in dims}
-        tgt, src = {}, {}
-        for x in sorted(dims):
-            d = dims[x]
-            if not isinstance(d, int) or isinstance(d, bool) or d < 0 or not _NAME_RE.fullmatch(x):
-                return None
-            strata[d].append(x)
-            if d:
-                tgt[x] = t = target.get(x)
-                count = len(entries := sources.get(x))  # before a one-shot iterable is used up
-                src[x] = seen = frozenset(entries)
-                # an unknown target, or none, has no dimension
-                if (dims.get(t) != d - 1 or t in seen or not seen or len(seen) < count
-                        or (d == 1 and len(seen) > 1)):
-                    return None
-                above[t][0].append(x)
-                for y in seen:
-                    if dims.get(y) != d - 1:
-                        return None
-                    above[y][1].append(x)
-    except (AttributeError, KeyError, TypeError, ValueError):  # malformed: _validate says how
-        return None
-    # a duplicate face, or covers for a face not of dimension >= 1
-    if len(dims) < len(faces) or not len(target) == len(sources) == len(tgt):
-        return None
-    return (dims, tgt, src, {k: tuple(names) for k, names in enumerate(strata)},
+    # Keys naming no face of dimension >= 1.  With no violation so far each
+    # such face has a target and sources, so only a key beyond their count
+    # can be one.
+    if bad or not len(target) == len(sources) == len(dims) - len(strata.get(0, ())):
+        for covers, what in ((target, "target"), (sources, "sources")):
+            for x in covers:
+                if x not in dims:
+                    bad.append(Violation(
+                        "UnknownFaceReference", (str(x),), f"{what} declared for unknown face {x!r}"))
+                elif not dims[x]:
+                    bad.append(Violation(
+                        "GradingViolation", (x,), f"{what} declared for dimension-0 face {x}"))
+    if bad:
+        raise InvalidComplex(AxiomReport.of(bad))
+    return (_Faces(dims), tgt, src, {k: tuple(names) for k, names in strata.items()},
             _Faces((y, (tuple(t), tuple(s))) for y, (t, s) in above.items()))
 
 
 def validate_complex_data(faces, target, sources) -> AxiomReport:
     """Run the base-axiom validation without constructing a complex."""
-    return _validate(faces, target, sources)
+    try:
+        _indexed(faces, target, sources)
+    except InvalidComplex as err:
+        return err.report
+    return AxiomReport()
 
 
 class FaceComplex:
@@ -271,21 +240,16 @@ class FaceComplex:
     ``faces`` maps names to dimensions (or is an iterable of pairs),
     ``target`` maps each dim >= 1 face to its target and ``sources`` to its
     nonempty source set.  Raises :class:`InvalidComplex` when any base
-    axiom fails; the exception carries the full report.  One pass accepts
-    valid input and indexes it; ``_validate`` only explains a rejection.
+    axiom fails; the exception carries the full report, the same as
+    ``validate_complex_data`` gives, from the one pass that indexes valid
+    input.  ``TypeError`` when ``target`` or ``sources`` is not a mapping.
     """
 
     __slots__ = ("_dims", "_strata", "_target", "_sources", "_pencils")
 
     def __init__(self, faces, target, sources):
-        if not isinstance(faces, Mapping):
-            faces = list(faces)  # read again on a no
-        if (built := _indexed(faces, target, sources)) is None:
-            report = _validate(faces, target, sources)
-            if report.passed:
-                raise InternalInvariantBroken("the one-pass check rejects a complex _validate passes")
-            raise InvalidComplex(report)
-        self._dims, self._target, self._sources, self._strata, self._pencils = built
+        self._dims, self._target, self._sources, self._strata, self._pencils = _indexed(
+            faces, target, sources)
 
     # -- basic queries -------------------------------------------------
 

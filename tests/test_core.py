@@ -11,10 +11,10 @@ import opetope_kit
 from opetope_kit import (
     AxiomReport,
     FaceComplex,
-    InternalInvariantBroken,
     InvalidComplex,
     Morphism,
     UnknownFaceReference,
+    Violation,
     ZeroDimensionalFace,
     build_complex,
     compose_morphisms,
@@ -25,7 +25,6 @@ from opetope_kit import (
     validate_complex_data,
     validate_morphism,
 )
-from opetope_kit import core
 from opetope_kit.errors import DimensionTooHigh
 
 from helpers import corpus_fixtures, single_edit_mutations
@@ -420,30 +419,21 @@ def test_base_reports_are_pinned(small_pops):
     assert digest.hexdigest() == BASE_REPORTS_SHA256
 
 
-def test_bulk_check_agrees_with_validate(small_pops):
-    """The constructor's one pass says yes exactly when ``_validate`` passes,
-    and a no raises ``InvalidComplex`` with ``_validate``'s report."""
+def test_the_constructor_builds_exactly_what_validation_passes(small_pops):
+    """``FaceComplex`` builds exactly when ``validate_complex_data`` passes,
+    and otherwise raises ``InvalidComplex`` carrying that same report."""
     inputs = list(_base_report_inputs(small_pops))
     passed = 0
     for faces, target, sources in inputs:
         report = validate_complex_data(faces, target, sources)
-        assert (core._indexed(faces, target, sources) is not None) == report.passed
         if report.passed:
             passed += 1
+            assert len(FaceComplex(faces, target, sources)) == len(dict(faces))
             continue
         with pytest.raises(InvalidComplex) as err:
             FaceComplex(faces, target, sources)
         assert err.value.report == report
     assert 200 < passed < len(inputs) - 200
-
-
-def test_a_no_on_a_passing_input_is_a_broken_invariant(two2, monkeypatch):
-    """If the one pass rejects what ``_validate`` passes, the constructor
-    raises ``InternalInvariantBroken``, not an ``InvalidComplex`` whose
-    report passes."""
-    monkeypatch.setattr(core, "_indexed", lambda faces, target, sources: None)
-    with pytest.raises(InternalInvariantBroken):
-        FaceComplex(*two2.to_data())
 
 
 def test_the_one_pass_does_not_grow_a_defaultdict(two2):
@@ -457,9 +447,9 @@ def test_the_one_pass_does_not_grow_a_defaultdict(two2):
 
 
 def test_a_huge_dimension_is_rejected_before_any_stratum_is_made():
-    """Grading gives a valid complex a face in every dimension up to its
-    top, so the one pass says no to a top at or above the face count before
-    it makes a stratum per dimension; the report is ``_validate``'s."""
+    """The strata are made only for the dimensions present, so a face of a
+    huge dimension costs no stratum per dimension below it; the
+    constructor's report is ``validate_complex_data``'s."""
     faces = {"x": 0, "f": 10 ** 6}
     tracemalloc.start()
     try:
@@ -475,7 +465,8 @@ def test_a_huge_dimension_is_rejected_before_any_stratum_is_made():
 
 def test_a_source_iterable_without_a_size_is_reported_unread():
     """A source collection must have a size.  A generator is reported as
-    one violation, and neither the one pass nor ``_validate`` reads it."""
+    one violation, and neither ``FaceComplex`` nor ``validate_complex_data``
+    reads it."""
     gen = (y for y in ["x"])
     faces, target, sources = {"x": 0, "y": 0, "f": 1}, {"f": "y"}, {"f": gen}
     with pytest.raises(InvalidComplex) as err:
@@ -485,6 +476,36 @@ def test_a_source_iterable_without_a_size_is_reported_unread():
         "detail": "sources of f are not a collection: generator"}]
     assert validate_complex_data(faces, target, {"f": 5}).failed_axioms() == ("EmptySources",)
     assert list(gen) == ["x"]
+
+
+def test_a_source_string_is_not_read_as_its_characters():
+    """A string is one value, not a collection of face names: it is reported
+    as one violation whether or not its characters name faces."""
+    for faces, target, sources in (
+            ({"x0": 0, "x1": 0, "f": 1}, {"f": "x1"}, {"f": "x0"}),
+            ({"x": 0, "y": 0, "f": 1}, {"f": "y"}, {"f": "x"})):
+        report = build_complex(faces, target, sources)
+        assert report.to_dict()["violations"] == [{
+            "axiom": "EmptySources", "witnesses": ["f"],
+            "detail": "sources of f are not a collection: str"}]
+
+
+def test_a_cover_map_missing_one_face_and_naming_an_unknown_one_reports_both(two2):
+    """A ``target`` or ``sources`` map with as many keys as a valid one, one
+    face missing and one unknown face added, fails both ways; a cover
+    argument that is not a mapping raises ``TypeError``."""
+    dims, target, sources = two2.to_data()
+    covers = {"target": target, "sources": sources}
+    for what, axiom in (("target", "MissingTarget"), ("sources", "EmptySources")):
+        edited = dict(covers, **{what: dict(covers[what])})
+        edited[what]["ghost"] = edited[what].pop("alpha")
+        report = validate_complex_data(dims, edited["target"], edited["sources"])
+        assert report.failed_axioms() == tuple(sorted((axiom, "UnknownFaceReference")))
+        assert Violation("UnknownFaceReference", ("ghost",),
+                         f"{what} declared for unknown face 'ghost'") in report.violations
+        for not_a_mapping in (None, list(covers[what].items())):
+            with pytest.raises(TypeError):
+                FaceComplex(dims, **dict(covers, **{what: not_a_mapping}))
 
 
 def test_an_unhashable_target_or_source_is_an_unknown_face():
