@@ -10,20 +10,25 @@ maps (``build dict``) and on the parsed document's list of face pairs,
 which is what every CLI load passes (``build pairs``), of
 ``build_complex`` on that document with one target removed (``reject``),
 and of ``emit_dsl`` and ``emit_json``.  A flat column means linear work.
-Exits 1 only if a DSL or JSON round trip does not give back the complex,
-or the rejected copy does not fail exactly ``MissingTarget``; times are
-printed, never judged.  Takes a few seconds:
+A cell's columns are timed in three interleaved rounds, so the columns of
+one row share the host's state; rows from two processes (two commits,
+say) can be compared only through a column the change between them
+leaves alone, such as ``emit_dsl`` and ``emit_json`` when only a reader
+changed.  Exits 1 only if a DSL or JSON round trip does not give back the
+complex, or the rejected copy does not fail exactly ``MissingTarget``;
+times are printed, never judged.  Takes a few seconds:
 
     python3 scripts/load_ladder.py
 """
 
+import math
 import pathlib
 import sys
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from dfc_ladder import best_of_three  # noqa: E402
 from helpers import chain_tree_cell, two_sided_tree_cell  # noqa: E402
 from opetope_kit import (  # noqa: E402
     FaceComplex, build_complex, emit_dsl, emit_json, parse_dsl, parse_json, two_cell)
@@ -40,18 +45,23 @@ def main() -> int:
     cells += [(f"two-sided cell {n}", lambda n=n: two_sided_tree_cell(n)) for n in (300, 600, 1200)]
     for label, build in cells:
         complex_ = build()
-        emit_dsl_s, dsl = best_of_three(emit_dsl, complex_)
-        emit_json_s, json_text = best_of_three(emit_json, complex_)
-        parse_dsl_s, dsl_doc = best_of_three(parse_dsl, dsl)
-        parse_json_s, json_doc = best_of_three(parse_json, json_text)
-        build_s, _ = best_of_three(lambda data: FaceComplex(*data), complex_.to_data())
-        pairs = (dsl_doc.faces, dsl_doc.target, dsl_doc.sources)
-        pairs_s, _ = best_of_three(lambda data: FaceComplex(*data), pairs)
+        dsl, json_text = emit_dsl(complex_), emit_json(complex_)
+        dsl_doc = parse_dsl(dsl)
         target = dict(dsl_doc.target)
         del target[next(iter(target))]
-        reject_s, report = best_of_three(lambda data: build_complex(*data),
-                                         (dsl_doc.faces, target, dsl_doc.sources))
-        times = (parse_dsl_s, parse_json_s, build_s, pairs_s, reject_s, emit_dsl_s, emit_json_s)
+        calls = (  # one (function, argument) per column
+            (parse_dsl, dsl), (parse_json, json_text),
+            (lambda data: FaceComplex(*data), complex_.to_data()),
+            (lambda data: FaceComplex(*data), (dsl_doc.faces, dsl_doc.target, dsl_doc.sources)),
+            (lambda data: build_complex(*data), (dsl_doc.faces, target, dsl_doc.sources)),
+            (emit_dsl, complex_), (emit_json, complex_))
+        times, results = [math.inf] * len(calls), [None] * len(calls)
+        for _ in range(3):
+            for i, (call, argument) in enumerate(calls):
+                start = time.perf_counter()
+                results[i] = call(argument)
+                times[i] = min(times[i], time.perf_counter() - start)
+        json_doc, report = results[1], results[4]
         broken = [f"{name} ROUND TRIP FAILS" for name, doc in (("DSL", dsl_doc), ("JSON", json_doc))
                   if doc.build() != complex_]
         if isinstance(report, FaceComplex) or report.failed_axioms() != ("MissingTarget",):

@@ -79,12 +79,11 @@ def three_cell_from_tree(tree: RootedTree) -> FaceComplex:
     report = validate_rooted_tree(tree)
     if not report.passed:
         raise InvalidTree("; ".join(v.detail for v in report.violations))
+    slot_names: list[str] = []
     for node in sorted(tree.nodes):
         if not tree.arity.get(node):
             raise InvalidTree(f"node {node} has empty arity")
-    slot_names: list[str] = []
-    for node in sorted(tree.nodes):
-        slot_names.extend(sorted(tree.arity[node]))
+        slot_names.extend(tree.arity[node])
     if len(set(slot_names)) != len(slot_names):
         raise InvalidTree("slot names must be distinct across the tree")
     if set(slot_names) & set(tree.nodes):

@@ -456,39 +456,34 @@ def validate_morphism(m: Morphism) -> AxiomReport:
     """Check the three morphism laws; structural defects raise instead.
 
     The mapping must be total on the source complex and land in the target
-    complex (``UnknownFaceReference`` otherwise).  The report then records
-    any face at which dimensions, targets, or the source-set bijection
-    fail.
+    complex (``UnknownFaceReference`` otherwise).  The report records any
+    face at which dimensions, targets, or the source-set bijection fail.
+    One pass runs up the dimensions, so each face's covers are read after
+    their own totality and image checks.
     """
-    src, dst = m.source, m.target
-    for a in m.mapping:
+    src, dst, f = m.source, m.target, m.mapping
+    for a in f:
         if a not in src:
             raise UnknownFaceReference(f"map mentions unknown source face {a!r}")
-    for a in src.faces():
-        if a not in m.mapping:
-            raise UnknownFaceReference(f"map is not total: missing {a!r}")
-        if m.mapping[a] not in dst:
-            raise UnknownFaceReference(
-                f"map sends {a} to unknown face {m.mapping[a]!r}")
-
     bad: list[Violation] = []
     for a in src.faces():
-        if src.dim(a) != dst.dim(m.mapping[a]):
+        if a not in f:
+            raise UnknownFaceReference(f"map is not total: missing {a!r}")
+        fa = f[a]
+        if fa not in dst:
+            raise UnknownFaceReference(f"map sends {a} to unknown face {fa!r}")
+        d, e = src.dim(a), dst.dim(fa)
+        if d != e:
             bad.append(Violation(
-                "dimension-preserving", (a,),
-                f"{a} has dim {src.dim(a)} but {m.mapping[a]} has dim {dst.dim(m.mapping[a])}"))
-    for a in src.faces():
-        if src.dim(a) == 0:
+                "dimension-preserving", (a,), f"{a} has dim {d} but {fa} has dim {e}"))
+        if d == 0 or e == 0:
             continue
-        fa = m.mapping[a]
-        if dst.dim(fa) == 0:
-            continue  # already reported as a dimension failure
-        if dst.gamma(fa) != m.mapping[src.gamma(a)]:
+        if dst.gamma(fa) != f[src.gamma(a)]:
             bad.append(Violation(
                 "target-commuting", (a,),
-                f"target of {fa} is {dst.gamma(fa)}, expected image {m.mapping[src.gamma(a)]}"))
-        image = [m.mapping[y] for y in sorted(src.delta(a))]
-        if len(set(image)) != len(image) or set(image) != set(dst.delta(fa)):
+                f"target of {fa} is {dst.gamma(fa)}, expected image {f[src.gamma(a)]}"))
+        image = {f[y] for y in src.delta(a)}
+        if len(image) != len(src.delta(a)) or image != dst.delta(fa):
             bad.append(Violation(
                 "source-bijective", (a,),
                 f"sources of {a} do not map bijectively onto sources of {fa}"))

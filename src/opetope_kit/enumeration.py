@@ -201,34 +201,35 @@ def _twin_swaps(parent: FaceComplex, top: tuple[str, ...], options) -> list[list
     return swaps
 
 
-def _swap_images(swaps, images, combo: list[int]) -> Optional[list[list[int]]]:
-    """Each swap's sorted image of ``combo``, grown from ``images``, its
-    image of ``combo[:-1]`` (empty at the root), by the image of the last
-    index; None once a swap sorts ``combo`` lower."""
-    grown = []
-    for swap, image in zip(swaps, images or [[]] * len(swaps)):
-        image = image.copy()
-        insort(image, swap[combo[-1]])
-        if image < combo:
-            return None
-        grown.append(image)
-    return grown
-
-
-def _least_multisets(options, n: int, swaps, prefix=(), images=None) -> Iterator[list]:
+def _least_multisets(options, n: int, swaps) -> Iterator[list]:
     """The ``n``-multisets of ``options``, in order, that no swap lowers, as
     sorted lists of option indices compare.  A prefix that a swap lowers has
     only such extensions, so it is cut; with no swaps every multiset comes.
-    ``images`` holds each swap's sorted image of the prefix."""
-    for i in range(prefix[-1] if prefix else 0, len(options)):
-        combo = [*prefix, i]
-        grown = swaps and _swap_images(swaps, images, combo)
-        if grown is None:
+    One loop walks the prefixes depth first on explicit stacks: ``combo`` is
+    the prefix, ``images[d]`` each swap's sorted image of ``combo[:d]``."""
+    combo, images, i = [], [[[] for _ in swaps]], 0
+    while True:
+        if i == len(options):
+            if not combo:
+                return
+            images.pop()
+            i = combo.pop() + 1
             continue
-        if len(combo) == n:
-            yield [options[j] for j in combo]
+        combo.append(i)
+        grown = []
+        for swap, image in zip(swaps, images[-1]):
+            image = image.copy()
+            insort(image, swap[i])
+            if image < combo:
+                break
+            grown.append(image)
         else:
-            yield from _least_multisets(options, n, swaps, combo, grown)
+            if len(combo) < n:
+                images.append(grown)
+                continue
+            yield [options[j] for j in combo]
+        combo.pop()
+        i += 1
 
 
 def _classes(budget: EnumerationBudget, meter: _WorkMeter,

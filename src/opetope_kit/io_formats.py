@@ -19,10 +19,11 @@ tells what was expected next; a syntax error's column is that of the
 first non-blank character after the match (1-based).
 
 The JSON shape is an object with "faces" (name to dimension), "target" and
-"sources" maps.  Both emitters are byte-deterministic: keys and source
-lists come out sorted, so emitting the same complex twice gives identical
-text.  Parsing checks syntax and shape only; the base axioms are the
-builder's job.
+"sources" maps; ``parse_json`` reads the faces, then both cover maps in one
+loop, each entry once and in name order.  Both emitters are
+byte-deterministic: keys and source lists come out sorted, so emitting the
+same complex twice gives identical text.  Parsing checks syntax and shape
+only; the base axioms are the builder's job.
 """
 
 from __future__ import annotations
@@ -220,63 +221,50 @@ def parse_json(text: str) -> ComplexDocument:
     faces = data["faces"]
     if not isinstance(faces, dict):
         raise JsonShapeError("faces", "must be an object mapping names to dimensions")
-    dims: dict[str, int] = {}
+    doc = ComplexDocument()
     for name in sorted(faces):
         dim = faces[name]
         if not is_valid_face_name(name):
             raise JsonShapeError(f"faces.{name}", "invalid face name")
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise JsonShapeError(f"faces.{name}", "dimension must be a nonnegative integer")
-        dims[name] = dim
+        doc.faces.append((name, dim))
 
-    target = data.get("target", {})
-    if not isinstance(target, dict):
-        raise JsonShapeError("target", "must be an object")
-    for name in sorted(target):
-        if name not in dims:
-            raise JsonShapeError(f"target.{name}", "not a declared face")
-        if dims[name] == 0:
-            raise JsonShapeError(f"target.{name}", "dimension-0 faces take no target")
-        value = target[name]
-        if not isinstance(value, str) or value not in dims:
-            raise JsonShapeError(f"target.{name}", "value must be a declared face name")
+    for key, read in (("target", doc.target), ("sources", doc.sources)):
+        covers = data.get(key, {})
+        if not isinstance(covers, dict):
+            raise JsonShapeError(key, "must be an object")
+        for name in sorted(covers):
+            if name not in faces:
+                raise JsonShapeError(f"{key}.{name}", "not a declared face")
+            if faces[name] == 0:
+                raise JsonShapeError(f"{key}.{name}", f"dimension-0 faces take no {key}")
+            read[name] = value = covers[name]
+            if key == "target":
+                if not isinstance(value, str) or value not in faces:
+                    raise JsonShapeError(f"target.{name}", "value must be a declared face name")
+                continue
+            if not isinstance(value, list) or not value:
+                raise JsonShapeError(f"sources.{name}", "must be a nonempty array of face names")
+            seen: set[str] = set()
+            for i, entry in enumerate(value):
+                if not isinstance(entry, str) or entry not in faces:
+                    raise JsonShapeError(f"sources.{name}[{i}]", "must be a declared face name")
+                if entry in seen:
+                    raise JsonShapeError(f"sources.{name}[{i}]", f"face {entry} listed twice")
+                seen.add(entry)
 
-    sources = data.get("sources", {})
-    if not isinstance(sources, dict):
-        raise JsonShapeError("sources", "must be an object")
-    parsed_sources: dict[str, list[str]] = {}
-    for name in sorted(sources):
-        if name not in dims:
-            raise JsonShapeError(f"sources.{name}", "not a declared face")
-        if dims[name] == 0:
-            raise JsonShapeError(f"sources.{name}", "dimension-0 faces take no sources")
-        value = sources[name]
-        if not isinstance(value, list) or not value:
-            raise JsonShapeError(f"sources.{name}", "must be a nonempty array of face names")
-        seen: set[str] = set()
-        for i, entry in enumerate(value):
-            if not isinstance(entry, str) or entry not in dims:
-                raise JsonShapeError(f"sources.{name}[{i}]", "must be a declared face name")
-            if entry in seen:
-                raise JsonShapeError(f"sources.{name}[{i}]", f"face {entry} listed twice")
-            seen.add(entry)
-        parsed_sources[name] = list(value)
-
-    for name in sorted(dims):
-        if dims[name] >= 1:
-            if name not in target:
+    for name, dim in doc.faces:
+        if dim:
+            if name not in doc.target:
                 raise JsonShapeError(f"target.{name}", "missing")
-            if name not in parsed_sources:
+            if name not in doc.sources:
                 raise JsonShapeError(f"sources.{name}", "missing")
 
     for key in ("name", "description"):
         if key in data and not isinstance(data[key], str):
             raise JsonShapeError(key, "must be a string")
-    return ComplexDocument(
-        faces=sorted(dims.items()),
-        target=dict(sorted(target.items())),
-        sources={k: parsed_sources[k] for k in sorted(parsed_sources)},
-    )
+    return doc
 
 
 def emit_json(complex_: FaceComplex) -> str:

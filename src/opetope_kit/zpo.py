@@ -8,15 +8,15 @@ returns a report with every violating face, in lexicographic order, so a
 failing complex can be repaired or used as a counterexample.
 
 Each axiom is checked level by level, by one generator per axiom that
-reads one :class:`Level` record: the faces of a stratum with their
-targets and source sets, and the complex below them.  The whole-complex
-checks build each record from the complex (:func:`settled_violations`).
-The opetope search builds it from a parent stage and a candidate
-assignment of the stratum above, so every axiom that the new stratum
-settles is decided before the candidate is canonicalised or built, and
-only the candidates that pass are canonicalised.  Before that it drops,
-once per parent, each (target, sources) option that fails on its own
-(:func:`face_violations`): globularity reads only the face and the
+reads one :class:`Level` record: the faces of a stratum with their targets
+and source sets, and the complex below them.  The whole-complex checks
+build each record from the complex (``_at_each_level`` calls
+``Level.of``).  The opetope search builds it from a parent stage and a
+candidate assignment of the stratum above, so every axiom that the new
+stratum settles is decided before the candidate is canonicalised or built,
+and only the candidates that pass are canonicalised.  Before that it
+drops, once per parent, each (target, sources) option that fails on its
+own (:func:`face_violations`): globularity reads only the face and the
 parent, and a source minus-comparable with the target stays so however
 many faces add plus steps beside it.
 
@@ -248,8 +248,9 @@ def settled_violations(complex_: FaceComplex, k: int) -> Iterator[Violation]:
     These are principality, strictness, disjointness and pencil linearity
     at level ``k - 1`` and globularity of the ``k``-faces.  None of them
     reads a stratum above ``k``, so they are the same on the truncation to
-    strata ``0..k`` as on any complex stacked on it, and the enumerator
-    prunes on them, on a :class:`Level` built before any stage is.
+    strata ``0..k`` as on any complex stacked on it.  The enumerator prunes
+    on the same generator, :func:`level_violations`, on a :class:`Level`
+    built before any stage is.
     """
     return (make() for make in level_violations(Level.of(complex_, k)))
 

@@ -5,14 +5,17 @@ only job is to be obviously correct, so the clever implementations have
 something independent to agree with.  The pinned (4, 9) opetopes, the
 fixture trees, the corpus fixtures (the complexes ``scripts/gen_corpus.py``
 writes to ``corpus/``), the single-edit mutation generator, seeded byte
-edits and wrong-shape JSON documents close the file.
+edits, wrong-shape JSON documents and a shallow recursion limit close the
+file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
+import sys
 from typing import Iterator
 
 from opetope_kit import (
@@ -489,3 +492,18 @@ def wrong_shape_documents(data) -> Iterator:
     for path in _json_paths(data):
         for value in WRONG_SHAPES:
             yield _replaced(data, path, value)
+
+
+@contextlib.contextmanager
+def shallow_stack(margin: int):
+    """Set the recursion limit ``margin`` frames above the caller's depth, so
+    a walk that recurses once per item of a long input raises."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + margin)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)

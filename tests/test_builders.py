@@ -79,21 +79,26 @@ def test_unary_chain_tree():
     assert unary == ["a", "b"]
 
 
+BAD_TREES = [
+    # (arity, triplets, the error), rooted at "a"
+    ({"a": ""}, (), "node a has empty arity"),
+    ({"a": "s", "b": "s"}, {("a", "s", "b")}, "slot names must be distinct across the tree"),
+    ({"a": "s", "b": "t"}, (), "node b has 0 descending paths to choose from"),
+    ({"a": "b", "b": "t"}, {("a", "b", "b")}, "slot names must differ from node names"),
+    ({"a": "s", "b": "a"}, {("a", "s", "b")}, "slot names must differ from node names"),
+    # an empty arity is reported before slots that two nodes share
+    ({"a": "su", "b": "s", "c": ""}, {("a", "s", "b"), ("a", "u", "c")},
+     "node c has empty arity"),
+]
+
+
 def test_tree_builder_rejects_bad_trees():
-    with pytest.raises(InvalidTree):
-        three_cell_from_tree(RootedTree(
-            nodes=frozenset({"a"}), arity={"a": frozenset()},
-            triplets=frozenset(), root="a"))
-    with pytest.raises(InvalidTree):
-        three_cell_from_tree(RootedTree(
-            nodes=frozenset({"a", "b"}),
-            arity={"a": frozenset({"s"}), "b": frozenset({"s"})},
-            triplets=frozenset({("a", "s", "b")}), root="a"))
-    with pytest.raises(InvalidTree):
-        three_cell_from_tree(RootedTree(
-            nodes=frozenset({"a", "b"}),
-            arity={"a": frozenset({"s"}), "b": frozenset({"t"})},
-            triplets=frozenset(), root="a"))
+    for arity, triplets, error in BAD_TREES:
+        with pytest.raises(InvalidTree) as err:
+            three_cell_from_tree(RootedTree(
+                frozenset(arity), {n: frozenset(slots) for n, slots in arity.items()},
+                frozenset(triplets), "a"))
+        assert str(err.value) == error
 
 
 def test_tree_builder_uniquifies_reserved_names():

@@ -23,7 +23,7 @@ from opetope_kit import (
 )
 from opetope_kit.cli import main
 
-from helpers import mutate_bytes, wrong_shape_documents
+from helpers import mutate_bytes, shallow_stack, wrong_shape_documents
 
 
 @pytest.fixture()
@@ -422,13 +422,6 @@ def test_a_leading_byte_order_mark_is_ignored(tmp_path, capsys, monkeypatch, nam
     assert run("\ufeff") == plain
 
 
-def _frame_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 def test_validate_dfc_on_a_wide_two_cell(tmp_path, capsys):
     path = tmp_path / "wide.json"
     path.write_text(emit_json(two_cell(1500)))
@@ -447,13 +440,9 @@ def test_tree_walks_do_not_recurse(tmp_path, capsys):
                            for i in range(depth - 1)),
         root="n0")
     path = tmp_path / "chain.dsl"
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_frame_depth() + 100)
-    try:
+    with shallow_stack(100):
         path.write_text(emit_dsl(three_cell_from_tree(chain)))
         assert main(["tree", str(path), "--face", "A"]) == 0
-    finally:
-        sys.setrecursionlimit(limit)
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["n0"] + [f"{'  ' * i}[b{i - 1}] n{i}" for i in range(1, depth)]
 
@@ -512,6 +501,26 @@ def test_exit_code_contract(tmp_path, argv, env, content, code):
     assert done.returncode == code
     assert "Traceback" not in done.stderr
     assert len(done.stderr.strip().splitlines()) == 1
+
+
+def test_inputs_past_the_interpreter_limits_exit_2_in_process(tmp_path, capsys):
+    """A number with more digits than ``int()`` converts, and JSON nested
+    deeper than the recursion limit, are parse errors in the calling
+    process too: exit 2, one stderr line, no traceback."""
+    digits, depth = sys.get_int_max_str_digits(), sys.getrecursionlimit()
+    cases = {
+        "long.dsl": ("face a : " + "9" * (digits + 1) + "\n",
+                     "line 1, col 10: expected a dimension with fewer digits\n"),
+        "deep.json": ("[" * depth, "at $: cannot read JSON: "),
+        "long.json": ('{"faces":{"a":' + "9" * (digits + 1) + "}}",
+                      "at $: cannot read JSON: "),
+    }
+    for name, (text, message) in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2, name
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(message) and err.count("\n") == 1, name
 
 
 def _run_fresh(argv, env):

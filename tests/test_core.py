@@ -25,7 +25,7 @@ from opetope_kit import (
     validate_complex_data,
     validate_morphism,
 )
-from opetope_kit.errors import DimensionTooHigh
+from opetope_kit.errors import DimensionOutOfRange, DimensionTooHigh, PreconditionViolation
 
 from helpers import corpus_fixtures, single_edit_mutations
 
@@ -138,6 +138,17 @@ def test_iterated_target(two2):
     assert two2.iterated_target("f1", 0) == "x1"
     with pytest.raises(DimensionTooHigh):
         two2.iterated_target("f1", 2)
+    with pytest.raises(DimensionOutOfRange):
+        two2.iterated_target("f1", -1)
+
+
+def test_relabel_needs_a_bijection_of_the_faces(fix_arrow):
+    for partial in ({"x": "a", "y": "b"}, {"x": "a", "y": "b", "f": "c", "g": "d"}):
+        with pytest.raises(UnknownFaceReference):
+            fix_arrow.relabel(partial)
+    with pytest.raises(PreconditionViolation):
+        fix_arrow.relabel({"x": "a", "y": "a", "f": "c"})
+    assert fix_arrow.relabel({"x": "a", "y": "b", "f": "c"}).gamma("c") == "b"
 
 
 def test_covers_and_cofaces(two2):
@@ -260,6 +271,18 @@ def test_target_commuting_failure(fix_arrow, two2):
 def test_dimension_failure(fix_arrow, two2):
     bad = Morphism(fix_arrow, two2, {"x": "x0", "y": "f1", "f": "f1"})
     assert "dimension-preserving" in validate_morphism(bad).failed_axioms()
+
+
+def test_a_face_failing_dimension_and_covers_is_reported_for_each_law(fix_arrow, two2):
+    """Covers are still checked where the dimensions differ but neither is 0."""
+    bad = Morphism(fix_arrow, two2, {"x": "x0", "y": "x1", "f": "alpha"})
+    assert validate_morphism(bad).to_dict() == {"verdict": "fail", "violations": [
+        {"axiom": "dimension-preserving", "witnesses": ["f"],
+         "detail": "f has dim 1 but alpha has dim 2"},
+        {"axiom": "source-bijective", "witnesses": ["f"],
+         "detail": "sources of f do not map bijectively onto sources of alpha"},
+        {"axiom": "target-commuting", "witnesses": ["f"],
+         "detail": "target of alpha is h, expected image x1"}]}
 
 
 def test_source_bijection_failure(two2):
@@ -446,7 +469,7 @@ def test_the_one_pass_does_not_grow_a_defaultdict(two2):
     assert "alpha" not in target and len(sources) == len(dims) - len(two2.stratum(0))
 
 
-def test_a_huge_dimension_is_rejected_before_any_stratum_is_made():
+def test_a_huge_dimension_is_reported_in_bounded_memory():
     """The strata are made only for the dimensions present, so a face of a
     huge dimension costs no stratum per dimension below it; the
     constructor's report is ``validate_complex_data``'s."""

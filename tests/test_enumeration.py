@@ -28,7 +28,8 @@ from opetope_kit.enumeration import _least_multisets, _options, _profiles
 from opetope_kit.iso import complex_from_certificate
 from opetope_kit.zpo import settled_violations
 
-from helpers import OPETOPES_4_9, single_edit_mutations, stacked, tree_opetope_count
+from helpers import (OPETOPES_4_9, shallow_stack, single_edit_mutations, stacked,
+                     tree_opetope_count)
 from test_equivalence_random import random_tree
 
 
@@ -82,6 +83,17 @@ def test_multiset_walk_with_swaps_keeps_the_multisets_no_swap_lowers(seed):
             expected = [list(c) for c in combinations_with_replacement(range(size), n)
                         if not any(sorted(swap[j] for j in c) < list(c) for swap in swaps)]
             assert list(_least_multisets(list(range(size)), n, swaps)) == expected
+
+
+def test_multiset_walk_does_not_recurse():
+    """A stratum of a few hundred faces is walked in one loop: the walk
+    takes no stack frame per slot, with or without twin swaps."""
+    n = 400
+    with shallow_stack(50):
+        plain = list(_least_multisets(["a", "b"], n, []))
+        least = list(_least_multisets([0, 1], n, [[1, 0]]))
+    assert plain == [["a"] * (n - b) + ["b"] * b for b in range(n + 1)]
+    assert least == [[0] * (n - b) + [1] * b for b in range(n // 2 + 1)]
 
 
 def test_dim0_enumeration():
