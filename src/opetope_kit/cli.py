@@ -8,6 +8,7 @@ Exit codes: 0 all checks passed, 1 an axiom or resource check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -343,12 +344,15 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as err:
-        if isinstance(err.code, int):
-            return err.code
-        raise
+        try:
+            args = _parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as err:  # usage errors, --help, base failures
+            if not isinstance(err.code, int):
+                raise
+            code = err.code
+        sys.stdout.flush()  # so a closed stdout fails here, not in the exit flush
+        return code
     except ParseError as err:
         print(str(err), file=sys.stderr)
         return PARSE_FAIL
@@ -357,6 +361,10 @@ def main(argv=None) -> int:
         return INTERNAL
     except OpetopeError as err:
         print(str(err), file=sys.stderr)
+        return FAIL
+    except BrokenPipeError:  # stdout closed early: exit 1, and the exit flush writes nowhere
+        with open(os.devnull, "wb") as devnull, contextlib.suppress(OSError, ValueError):
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return FAIL
     except (OSError, UnicodeDecodeError) as err:
         print(str(err), file=sys.stderr)

@@ -145,12 +145,10 @@ def linear_order_s0(complex_: FaceComplex) -> list[str]:
     if len(starts) != 1:
         raise InternalInvariantBroken(
             f"{len(starts)} minimal 0-faces: {starts}")
-    non_targets = (lambda_set(complex_, 1)
-                   if complex_.dimension >= 1 else frozenset())
     order = [starts[0]]
     seen = {starts[0]}
     while True:
-        steps = [w for w in complex_.pencils(order[-1])[1] if w in non_targets]
+        steps = [w for w in complex_.pencils(order[-1])[1] if not complex_.pencils(w)[0]]
         if not steps:
             break
         if len(steps) > 1:

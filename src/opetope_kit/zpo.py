@@ -242,19 +242,6 @@ def face_violations(k: int, parent: FaceComplex, name: str, option,
     yield from _disjointness(level)
 
 
-def settled_violations(complex_: FaceComplex, k: int) -> Iterator[Violation]:
-    """The violations that stratum ``k`` >= 1 fixes for good.
-
-    These are principality, strictness, disjointness and pencil linearity
-    at level ``k - 1`` and globularity of the ``k``-faces.  None of them
-    reads a stratum above ``k``, so they are the same on the truncation to
-    strata ``0..k`` as on any complex stacked on it.  The enumerator prunes
-    on the same generator, :func:`level_violations`, on a :class:`Level`
-    built before any stage is.
-    """
-    return (make() for make in level_violations(Level.of(complex_, k)))
-
-
 def _at_each_level(complex_: FaceComplex, axiom) -> Iterator[Violation]:
     for k in range(1, complex_.dimension + 2):
         for make in axiom(Level.of(complex_, k)):
@@ -293,15 +280,11 @@ def check_principality(complex_: FaceComplex) -> AxiomReport:
     return AxiomReport.of(_at_each_level(complex_, _principality), ("principality",))
 
 
-def _all_levels(complex_: FaceComplex) -> Iterator[Violation]:
-    return _at_each_level(complex_, level_violations)
-
-
 def is_opetopic_cardinal(complex_: FaceComplex) -> AxiomReport:
     """Globularity, strictness, disjointness and pencil linearity."""
-    return AxiomReport.of(_all_levels(complex_), _AXIOMS[:-1])
+    return AxiomReport.of(_at_each_level(complex_, level_violations), _AXIOMS[:-1])
 
 
 def is_positive_opetope(complex_: FaceComplex) -> AxiomReport:
     """An opetopic cardinal that is also principal."""
-    return AxiomReport.of(_all_levels(complex_), _AXIOMS)
+    return AxiomReport.of(_at_each_level(complex_, level_violations), _AXIOMS)

@@ -27,8 +27,9 @@ from opetope_kit import (
     three_one,
     two_cell,
 )
-from opetope_kit.core import MINUS, PLUS, opposite
+from opetope_kit.core import MINUS, PLUS, Violation, opposite
 from opetope_kit.relations import ClosedRelation
+from opetope_kit.zpo import Level, level_violations
 
 
 def all_chains(complex_: FaceComplex):
@@ -257,6 +258,14 @@ def stacked(parent, names, covers) -> FaceComplex:
     for x, (t, s) in zip(names, covers):
         target[x], sources[x] = t, s
     return FaceComplex(dims, target, sources)
+
+
+def settled_violations(complex_: FaceComplex, k: int) -> Iterator[Violation]:
+    """The violations that stratum ``k`` >= 1 of ``complex_`` fixes for good:
+    principality, strictness, disjointness and pencil linearity at level
+    ``k - 1`` and globularity of the ``k``-faces, each built, in the order
+    the whole-complex checks and the opetope search read them."""
+    return (make() for make in level_violations(Level.of(complex_, k)))
 
 
 def seeded_relabel(complex_: FaceComplex, seed: int) -> FaceComplex:

@@ -151,7 +151,7 @@ def test_tree_builder_calls_no_checker(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the tree builder ran a checker")
 
-    monkeypatch.setattr(zpo, "_all_levels", refuse)
+    monkeypatch.setattr(zpo, "_at_each_level", refuse)
     monkeypatch.setattr(dfc, "is_dfc", refuse)
     for tree in (chain_tree(), fork_tree(), nested_tree()):
         assert three_cell_from_tree(tree).dimension == 3

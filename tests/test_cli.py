@@ -533,6 +533,52 @@ def _run_fresh(argv, env):
     return done.returncode, done.stdout, done.stderr
 
 
+def test_a_closed_stdout_exits_1_in_process(two2_dsl, capsys, monkeypatch):
+    """Output that no reader takes is a resource failure, not a parse error:
+    exit 1 and nothing on stderr, for a stream with no file descriptor and
+    for a pipe whose read end is closed.  The pipe's descriptor then points
+    at the null device, so what is left in its buffer is written nowhere."""
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as piped:
+        for stdout in (Closed(), piped):
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["order", two2_dsl]) == 1
+        piped.write("left over\n")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv, keep", [
+    (["enumerate", "--max-dim", "3", "--max-faces", "8"], 1),
+    (["order", "{file}"], 0),
+    (["--help"], 0),
+])
+def test_a_reader_that_closes_early_exits_1(tmp_path, argv, keep):
+    """A reader that takes ``keep`` lines and closes its end: the writer
+    exits 1 with nothing on stderr, whether the write that fails comes
+    while the command prints or in the flush after it (``--help`` leaves
+    through ``SystemExit``), with stdout buffered as it is by default."""
+    path = tmp_path / "two2.dsl"
+    path.write_text(emit_dsl(two_cell(2)))
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    writer = subprocess.Popen(
+        [sys.executable, "-m", "opetope_kit.cli"] + [arg.format(file=path) for arg in argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for _ in range(keep):
+        writer.stdout.readline()
+    writer.stdout.close()
+    err = writer.stderr.read()
+    writer.stderr.close()
+    assert writer.wait(timeout=60) == 1
+    assert err == ""
+
+
 def test_parser_is_built_once_and_reused(two2_dsl, capsys, monkeypatch):
     """One process, several commands: each prints what a fresh process
     prints, so no option of one call leaks into the next, and the argument

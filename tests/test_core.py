@@ -186,6 +186,7 @@ def test_structural_equality_and_hash(two2):
     assert clone == two2
     assert hash(clone) == hash(two2)
     assert clone != two2.relabel({n: n + "z" for n in two2.faces()})
+    assert repr(clone) == "FaceComplex(7 faces, dim 2)"
 
 
 def _shuffled(rng, mapping):
@@ -300,7 +301,7 @@ def test_morphism_totality_and_unknowns(fix_arrow, two2):
             fix_arrow, two2, {"x": "x0", "y": "x1", "f": "zz"}))
 
 
-def test_composition_validates(fix_arrow, two2, three1):
+def test_composition_validates(fix_arrow, fix_point, two2, three1):
     first = arrow_into_two2(fix_arrow, two2)
     inclusion = {n: n for n in two2.faces()}
     second = Morphism(two2, three1, inclusion)
@@ -308,6 +309,9 @@ def test_composition_validates(fix_arrow, two2, three1):
     composed = compose_morphisms(first, second)
     assert validate_morphism(composed).passed
     assert composed.mapping == {"x": "x0", "y": "x1", "f": "f1"}
+    assert composed("f") == "f1"
+    with pytest.raises(PreconditionViolation, match="middle complexes differ"):
+        compose_morphisms(identity_morphism(fix_arrow), identity_morphism(fix_point))
 
 
 def test_morphism_iso_onto_downward_closure(fix_arrow, two2, three1):

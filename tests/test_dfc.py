@@ -231,6 +231,14 @@ def test_face_tree_defensive(two2):
     broken = FaceComplex(dims, target, sources)
     with pytest.raises(InternalInvariantBroken):
         face_tree(broken, "alpha")
+    # below the target t: p0 -> p2, the sources a, c: p0 -> p1 and
+    # b: p1 -> p2 make b the one root, and both a and c plug its slot p1
+    broken = FaceComplex(
+        {"p0": 0, "p1": 0, "p2": 0, "a": 1, "b": 1, "c": 1, "t": 1, "x": 2},
+        {"a": "p1", "b": "p2", "c": "p1", "t": "p2", "x": "t"},
+        {"a": {"p0"}, "b": {"p1"}, "c": {"p0"}, "t": {"p0"}, "x": {"a", "b", "c"}})
+    with pytest.raises(InternalInvariantBroken, match="slot p1 of b is plugged twice"):
+        face_tree(broken, "x")
 
 
 def test_face_tree_root_property(two2, three1, tree_fixtures):

@@ -26,10 +26,9 @@ from opetope_kit import (
 from opetope_kit import enumeration
 from opetope_kit.enumeration import _least_multisets, _options, _profiles
 from opetope_kit.iso import complex_from_certificate
-from opetope_kit.zpo import settled_violations
 
-from helpers import (OPETOPES_4_9, shallow_stack, single_edit_mutations, stacked,
-                     tree_opetope_count)
+from helpers import (OPETOPES_4_9, settled_violations, shallow_stack, single_edit_mutations,
+                     stacked, tree_opetope_count)
 from test_equivalence_random import random_tree
 
 

@@ -13,6 +13,7 @@ from opetope_kit.zpo import Level
 
 from helpers import (
     cancel_backtracks,
+    disjoint_arrows,
     exhaustive_simple_zigzags,
     order_pairs,
     predecessor_sort,
@@ -154,6 +155,11 @@ def test_sources_partition_bounds(two2):
         sources_partition(two2, 2)
     with pytest.raises(DimensionOutOfRange):
         sources_partition(two2, -1)
+
+
+def test_sources_partition_needs_a_greatest_element():
+    with pytest.raises(PreconditionViolation, match="no greatest element"):
+        sources_partition(disjoint_arrows(2), 0)
 
 
 def test_sources_partition_reconstructs_strata(two2, three1, tree_fixtures):

@@ -8,6 +8,7 @@ from opetope_kit import (
     DimensionOutOfRange,
     DimensionTooLow,
     EnumerationBudget,
+    FacePath,
     UnknownFaceReference,
     arrow,
     enumerate_pops,
@@ -139,6 +140,9 @@ def test_path_predicates(two2):
     assert not is_lower_path(two2, ["f1", "x1"])
     with pytest.raises(UnknownFaceReference):
         is_lower_path(two2, ["nope"])
+    assert FacePath("upper", ("x0", "f1", "x1")).holds_in(two2)
+    assert not FacePath("upper", ("x0", "f2", "x2")).holds_in(two2)
+    assert FacePath("lower", ("f1", "x1", "f2")).holds_in(two2)
 
 
 PATH_PREDICATES_SHA256 = "d8c4efd62c219d938379ef6dbf8b15629a17a69c4b851fdcc2050adf39d6e7e2"

@@ -18,7 +18,7 @@ from opetope_kit import (
     two_cell,
 )
 
-from helpers import corpus_fixtures, single_edit_mutations, warshall_closure
+from helpers import corpus_fixtures, settled_violations, single_edit_mutations, warshall_closure
 
 
 def test_globularity_passes(two2, fix_point):
@@ -201,8 +201,6 @@ def _truncate(complex_, k):
 def test_settled_violations_ignore_higher_strata(enumerated):
     """What stratum k settles must not depend on anything stacked above
     it, or the enumerator would prune complexes the checker accepts."""
-    from opetope_kit.zpo import settled_violations
-
     levels = 0
     for complex_, _, _ in enumerated:
         for k in range(1, complex_.dimension + 1):
